@@ -169,21 +169,31 @@ func BenchmarkSection4(b *testing.B) {
 // --- simulator microbenchmarks ----------------------------------------------
 
 // BenchmarkLeadingCore measures raw out-of-order simulation speed
-// (reported as ns per simulated instruction).
+// (reported as ns and allocs per simulated instruction) on a
+// compute-bound profile (gzip) and a memory-bound one (mcf), whose L2
+// misses leave the core idle for hundreds of cycles at a time.
 func BenchmarkLeadingCore(b *testing.B) {
-	bench, _ := trace.ByName("gzip")
-	g := trace.MustGenerator(bench.Profile, 1)
-	c, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	target := uint64(0)
-	for i := 0; i < b.N; i++ {
-		target++
-		for c.Stats().Instructions < target {
-			c.Step(4)
-		}
+	for _, name := range []string{"gzip", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			bench, err := trace.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := trace.MustGenerator(bench.Profile, 1)
+			c, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			target := uint64(0)
+			for i := 0; i < b.N; i++ {
+				target++
+				for c.Stats().Instructions < target {
+					c.Step(4)
+				}
+			}
+		})
 	}
 }
 

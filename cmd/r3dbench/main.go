@@ -17,6 +17,7 @@
 //	r3dbench -workers 8      # prefetch pool width (default GOMAXPROCS)
 //	r3dbench -stats          # human engine report on stderr
 //	r3dbench -json           # JSON engine report on stderr
+//	r3dbench -cpuprofile f   # runtime/pprof CPU profile, written at exit
 //
 // Warm starts: -checkpoint persists every computed simulation window to
 // an atomically committed, CRC-guarded cache file at exit, and
@@ -41,6 +42,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -49,7 +51,11 @@ import (
 	"r3d/internal/runsched"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit code so deferred work
+// (the CPU profile) completes on the clean and the drained exits alike.
+func run() int {
 	fast := flag.Bool("fast", false, "small simulation windows and a benchmark subset")
 	only := flag.String("only", "", "run a single experiment")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "prefetch worker pool width")
@@ -58,7 +64,24 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "run-cache path: computed windows are persisted here at exit")
 	restore := flag.Bool("restore", false, "preload the -checkpoint cache before running (warm start)")
 	shadow := flag.Float64("shadow", 0, "fraction of cache hits to re-verify by recomputation (0..1)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file at exit")
 	flag.Parse()
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			log.Fatalf("cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatalf("cpuprofile: %v", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Printf("cpuprofile: %v", err)
+			}
+		}()
+	}
 
 	q := experiment.Full()
 	if *fast {
@@ -71,7 +94,7 @@ func main() {
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid experiments:\n  %s\n",
 				*only, strings.Join(experiment.Names(), " "))
-			os.Exit(2)
+			return 2
 		}
 		selected = []experiment.Experiment{e}
 	}
@@ -149,7 +172,7 @@ func main() {
 		if errors.Is(err, runsched.ErrInterrupted) {
 			saveCache()
 			finishShadow()
-			os.Exit(130)
+			return 130
 		}
 		log.Fatalf("prefetch: %v", err)
 	}
@@ -160,7 +183,7 @@ func main() {
 			if errors.Is(err, runsched.ErrInterrupted) {
 				saveCache()
 				finishShadow()
-				os.Exit(130)
+				return 130
 			}
 			log.Fatalf("%s: %v", e.Name, err)
 		}
@@ -179,7 +202,5 @@ func main() {
 	} else if *stats {
 		fmt.Fprint(os.Stderr, s.EngineReport())
 	}
-	if code != 0 {
-		os.Exit(code)
-	}
+	return code
 }

@@ -64,8 +64,10 @@ func (r EngineReport) String() string {
 	st := r.Stats
 	fmt.Fprintf(&b, "engine: %d workers, %d computed (%d err), %d cache hits, %d singleflight joins\n",
 		r.Workers, st.Computed, st.Errors, st.Hits, st.Joins)
-	fmt.Fprintf(&b, "engine: batches requested %d keys, %d deduplicated; compute wall %.1f ms total\n",
-		st.BatchRequested, st.BatchDeduped, float64(st.ComputeNanos)/1e6)
+	// ComputeNanos adds up every window's wall time, so with more than
+	// one worker it can exceed the elapsed time of the run.
+	fmt.Fprintf(&b, "engine: batches requested %d keys, %d deduplicated; compute wall %.1f ms summed over %d worker(s)\n",
+		st.BatchRequested, st.BatchDeduped, float64(st.ComputeNanos)/1e6, r.Workers)
 	if th := r.Thermal; th.Solves > 0 {
 		fmt.Fprintf(&b, "thermal: %d solves, %d snapshot hits, %d joins; %d fine + %d coarse SOR iters\n",
 			th.Solves, th.Hits, th.Joins, th.FineIters, th.CoarseIters)
