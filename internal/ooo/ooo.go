@@ -158,7 +158,7 @@ func (s Stats) MeanL2HitLatency() float64 {
 }
 
 const (
-	stateWaiting = iota // in ROB, operands not ready
+	stateWaiting = iota // in ROB, not yet issued
 	stateIssued         // executing
 	stateDone           // complete, awaiting commit
 )
@@ -169,10 +169,14 @@ type robEntry struct {
 	mispred  bool
 	fp       bool
 	complete uint64 // cycle at which result is available
+	// readyAt is the first cycle at which both operands are available.
+	// resolve raises it to each producer's completion cycle once that
+	// producer has issued; it is final when dep1 and dep2 are both -1.
+	readyAt uint64
 	// deps identify producers by ROB index *and* sequence number; a
 	// mismatch means the producer already committed (its slot may have
 	// been reused by a younger instruction) and the operand is ready.
-	dep1, dep2       int // ROB index, -1 if ready at dispatch
+	dep1, dep2       int // ROB index; -1 if none or once it has issued
 	dep1Seq, dep2Seq uint64
 }
 
@@ -217,6 +221,17 @@ type Core struct {
 	// iqInt/iqFP/lsq track occupancy of the scheduling structures.
 	iqInt, iqFP, lsq int
 
+	// waiting holds the ROB indices of dispatched, unissued entries,
+	// oldest first: select scans it instead of the whole ROB.
+	waiting []int
+	// inflight holds the ROB indices of issued entries awaiting
+	// writeback; nextDone is the earliest completion cycle among them.
+	inflight []int
+	nextDone uint64
+	// issueAt is a lower bound on the next cycle at which any waiting
+	// entry can issue, so issue skips the cycles before it (see issue).
+	issueAt uint64
+
 	// done marks that the instruction budget was consumed by fetch.
 	fetchBudget uint64
 	fetchedTot  uint64
@@ -242,6 +257,8 @@ func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
 		dtlb:         cache.NewTLB("DTLB"),
 		l2:           l2,
 		rob:          make([]robEntry, cfg.ROBSize),
+		waiting:      make([]int, 0, cfg.ROBSize),
+		inflight:     make([]int, 0, cfg.ROBSize),
 		ifq:          make([]isa.Inst, cfg.IFQSize),
 		ifqMispred:   make([]bool, cfg.IFQSize),
 		fetchBudget:  ^uint64(0),
@@ -292,6 +309,7 @@ func (c *Core) Step(commitBudget int) []isa.Inst {
 	c.cycle++
 	c.stats.Activity.Cycles++
 
+	c.writeback()
 	committed := c.commit(commitBudget)
 	c.issue()
 	c.dispatch()
@@ -421,6 +439,13 @@ func (c *Core) dispatch() {
 		if in.HasDest() {
 			c.lastWriter[in.Dest] = c.robTail
 		}
+		if c.resolve(e) {
+			// Every producer has issued: the entry's earliest issue
+			// cycle is known now (and is never this cycle, whose issue
+			// stage has run).
+			c.issueAt = min(c.issueAt, max(e.readyAt, c.cycle+1))
+		}
+		c.waiting = append(c.waiting, c.robTail)
 		c.robTail = (c.robTail + 1) % c.cfg.ROBSize
 		c.robCount++
 
@@ -437,80 +462,118 @@ func (c *Core) dispatch() {
 	}
 }
 
-func (c *Core) ready(e *robEntry) bool {
-	return c.depReady(e.dep1, e.dep1Seq) && c.depReady(e.dep2, e.dep2Seq)
+// resolve folds the completion cycle of each of e's producers that has
+// issued into e.readyAt and reports whether both have, after which
+// e.readyAt is final and the producers are never probed again.
+func (c *Core) resolve(e *robEntry) bool {
+	e.dep1 = c.fold(e, e.dep1, e.dep1Seq)
+	e.dep2 = c.fold(e, e.dep2, e.dep2Seq)
+	return e.dep1 < 0 && e.dep2 < 0
 }
 
-func (c *Core) depReady(idx int, seq uint64) bool {
+// fold returns -1 once the producer at ROB index idx has issued, after
+// raising e.readyAt to its completion cycle; it returns idx while the
+// producer still waits.
+func (c *Core) fold(e *robEntry, idx int, seq uint64) int {
 	if idx < 0 {
-		return true
+		return -1
 	}
 	p := &c.rob[idx]
 	if p.inst.Seq != seq {
 		// Producer committed; its slot belongs to a younger instruction.
-		return true
+		return -1
 	}
-	return p.state == stateDone || (p.state == stateIssued && p.complete <= c.cycle)
+	if p.state == stateWaiting {
+		return idx
+	}
+	e.readyAt = max(e.readyAt, p.complete)
+	return -1
 }
 
+// writeback completes every in-flight entry whose result is available
+// by this cycle, releasing its issue-queue and LSQ slots. It runs before
+// commit, which needs completed entries marked Done; only dispatch reads
+// the occupancies, so releasing them this early changes nothing it sees.
+func (c *Core) writeback() {
+	if c.cycle < c.nextDone {
+		return
+	}
+	next := ^uint64(0)
+	kept := c.inflight[:0]
+	for _, idx := range c.inflight {
+		e := &c.rob[idx]
+		if e.complete > c.cycle {
+			kept = append(kept, idx)
+			next = min(next, e.complete)
+			continue
+		}
+		e.state = stateDone
+		if e.inst.Op.IsMem() {
+			c.lsq--
+		}
+		if e.fp {
+			c.iqFP--
+		} else {
+			c.iqInt--
+		}
+	}
+	c.inflight = kept
+	c.nextDone = next
+}
+
+// issue selects, oldest first, waiting entries whose operands are
+// available and whose functional unit is free, up to the issue width.
+//
+// It does nothing before c.issueAt. A scan leaves issueAt at the
+// earliest readyAt among the entries it could not issue, or at the next
+// cycle when it issued anything (a consumer of the issued entry may
+// resolve then) or left a ready entry behind for want of a unit or a
+// slot. An entry whose producer still waits contributes nothing: it
+// cannot issue before that producer does. Every op latency is at least
+// one cycle, so nothing issued this cycle can wake a consumer before the
+// next one.
 func (c *Core) issue() {
+	if c.cycle < c.issueAt {
+		return
+	}
 	slots := c.cfg.IssueWidth
 	alu, mul, fpa, fpm := c.cfg.IntALU, c.cfg.IntMult, c.cfg.FPALU, c.cfg.FPMult
 	loads, stores := c.cfg.LoadPorts, c.cfg.StorePorts
 
-	for n, idx := 0, c.robHead; n < c.robCount; n, idx = n+1, (idx+1)%c.cfg.ROBSize {
+	next := ^uint64(0)
+	kept := c.waiting[:0]
+	for i, idx := range c.waiting {
 		e := &c.rob[idx]
-		if e.state == stateIssued && e.complete <= c.cycle {
-			// Writeback: release the scheduling-structure entry even
-			// when no issue slots remain this cycle.
-			e.state = stateDone
-			if e.inst.Op.IsMem() {
-				c.lsq--
-			}
-			if e.fp {
-				c.iqFP--
-			} else {
-				c.iqInt--
-			}
+		if !c.resolve(e) {
+			kept = append(kept, idx)
 			continue
 		}
-		if slots == 0 || e.state != stateWaiting || !c.ready(e) {
+		if e.readyAt > c.cycle {
+			kept = append(kept, idx)
+			next = min(next, e.readyAt)
 			continue
 		}
 		// Functional unit availability.
+		free := true
 		switch e.inst.Op {
 		case isa.IntALU, isa.BranchCond, isa.BranchUncond:
-			if alu == 0 {
-				continue
-			}
-			alu--
+			free, alu = take(alu)
 		case isa.IntMult:
-			if mul == 0 {
-				continue
-			}
-			mul--
+			free, mul = take(mul)
 		case isa.FPALU:
-			if fpa == 0 {
-				continue
-			}
-			fpa--
+			free, fpa = take(fpa)
 		case isa.FPMult:
-			if fpm == 0 {
-				continue
-			}
-			fpm--
+			free, fpm = take(fpm)
 		case isa.Load:
-			if loads == 0 {
-				continue
-			}
-			loads--
+			free, loads = take(loads)
 		case isa.Store:
-			if stores == 0 {
-				continue
-			}
-			stores--
+			free, stores = take(stores)
 		}
-		slots--
+		if !free {
+			kept = append(kept, idx)
+			next = c.cycle + 1
+			continue
+		}
 		lat := uint64(e.inst.Op.Latency())
 		if e.inst.Op == isa.Load {
 			lat += c.loadLatency(e.inst.Addr)
@@ -525,6 +588,8 @@ func (c *Core) issue() {
 		}
 		e.state = stateIssued
 		e.complete = c.cycle + lat
+		c.inflight = append(c.inflight, idx)
+		c.nextDone = min(c.nextDone, e.complete)
 		if e.inst.HasDest() {
 			c.stats.Activity.RegWrites++
 		}
@@ -532,7 +597,23 @@ func (c *Core) issue() {
 			// Redirect the front end after resolution.
 			c.fetchStallUntil = e.complete + uint64(c.cfg.MispredictRedirect)
 		}
+		next = c.cycle + 1
+		if slots--; slots == 0 {
+			kept = append(kept, c.waiting[i+1:]...)
+			break
+		}
 	}
+	c.waiting = kept
+	c.issueAt = next
+}
+
+// take claims one of n free units, reporting whether one was free and
+// how many remain.
+func take(n int) (bool, int) {
+	if n == 0 {
+		return false, 0
+	}
+	return true, n - 1
 }
 
 // loadLatency returns the additional cycles beyond address generation
@@ -574,17 +655,6 @@ func (c *Core) commit(budget int) []isa.Inst {
 	}
 	for n := 0; n < budget && c.robCount > 0; n++ {
 		e := &c.rob[c.robHead]
-		if e.state == stateIssued && e.complete <= c.cycle {
-			e.state = stateDone
-			if e.inst.Op.IsMem() {
-				c.lsq--
-			}
-			if e.fp {
-				c.iqFP--
-			} else {
-				c.iqInt--
-			}
-		}
 		if e.state != stateDone {
 			break
 		}

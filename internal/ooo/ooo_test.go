@@ -283,6 +283,17 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
+// TestStepDoesNotAllocate: the scheduler's lists are preallocated to
+// the ROB size, so no cycle allocates.
+func TestStepDoesNotAllocate(t *testing.T) {
+	b, _ := trace.ByName("mcf")
+	c, _ := New(Default(), trace.MustGenerator(b.Profile, 4), newL2())
+	c.Run(5000)
+	if n := testing.AllocsPerRun(2000, func() { c.Step(4) }); n != 0 {
+		t.Errorf("Step allocates %.2f times per cycle, want 0", n)
+	}
+}
+
 func TestStatsAccessors(t *testing.T) {
 	var s Stats
 	if s.IPC() != 0 || s.L2MissesPer10k() != 0 || s.MeanL2HitLatency() != 0 {
