@@ -173,10 +173,18 @@ type System struct {
 	stbCount int
 
 	checkerFreqGHz float64
-	credit         float64
-	cycle          uint64
-	recoveryStall  int
-	wedged         bool
+	// freqRatio is checkerFreqGHz over LeadFreqGHz and freqBin its
+	// residency bin; setCheckerFreq keeps both in step with the
+	// frequency. leadPeriodPs is fixed: no caller changes LeadFreqGHz
+	// after New.
+	freqRatio     float64
+	freqBin       int
+	leadPeriodPs  float64
+	credit        float64
+	cycle         uint64
+	dfsCountdown  int // cycles until the next DFS evaluation
+	recoveryStall int
+	wedged        bool
 
 	freqHist *stats.Histogram
 	st       SystemStats
@@ -202,16 +210,18 @@ func New(cfg Config, lead *ooo.Core) (*System, error) {
 		return nil, err
 	}
 	s := &System{
-		cfg:            cfg,
-		lead:           lead,
-		checker:        inorder.New(cfg.Checker),
-		rvq:            make([]inorder.Entry, cfg.RVQSize),
-		checkerFreqGHz: cfg.FreqStepGHz, // start at the lowest step
-		freqHist:       stats.NewHistogram(0, 1.0001, 10),
-		corruptReg:     map[isa.Reg]uint64{},
-		view:           make([]inorder.Entry, cfg.Checker.Width),
-		outcomes:       make([]inorder.CheckOutcome, cfg.Checker.Width),
+		cfg:          cfg,
+		lead:         lead,
+		checker:      inorder.New(cfg.Checker),
+		rvq:          make([]inorder.Entry, cfg.RVQSize),
+		leadPeriodPs: 1000.0 / cfg.LeadFreqGHz,
+		dfsCountdown: cfg.DFSIntervalCycles,
+		freqHist:     stats.NewHistogram(0, 1.0001, 10),
+		corruptReg:   map[isa.Reg]uint64{},
+		view:         make([]inorder.Entry, cfg.Checker.Width),
+		outcomes:     make([]inorder.CheckOutcome, cfg.Checker.Width),
 	}
+	s.setCheckerFreq(cfg.FreqStepGHz) // start at the lowest step
 	return s, nil
 }
 
@@ -296,18 +306,14 @@ func (s *System) Wedged() bool { return s.wedged }
 // is livelocked (e.g. wedged at the RVQ barrier), even though Step
 // keeps returning.
 func (s *System) Progress() uint64 {
-	return s.lead.Stats().Instructions + s.checker.Stats().Checked
+	return s.lead.Committed() + s.checker.Stats().Checked
 }
 
 // --- simulation -------------------------------------------------------------
 
 // Step advances the system by one leading-core cycle.
 func (s *System) Step() {
-	s.cycle++
-	s.st.Cycles++
-	leadPeriodPs := 1000.0 / s.cfg.LeadFreqGHz
-	s.st.WallTimePs += leadPeriodPs
-	s.st.RVQOccupancySum += uint64(s.rvqCount)
+	dfsDue := s.tick()
 
 	// DFS: adjust checker frequency on queue occupancy. The regular
 	// threshold rule runs once per interval; when the RVQ is about to
@@ -318,25 +324,30 @@ func (s *System) Step() {
 	// by itself".
 	if s.cfg.EmergencyRamp && s.rvqCount >= s.cfg.RVQSize-2*s.cfg.Lead.CommitWidth {
 		if s.checkerFreqGHz < s.cfg.CheckerMaxFreqGHz-1e-9 {
-			s.checkerFreqGHz += s.cfg.FreqStepGHz
+			s.setCheckerFreq(s.checkerFreqGHz + s.cfg.FreqStepGHz)
 		}
-	} else if s.cycle%uint64(s.cfg.DFSIntervalCycles) == 0 {
+	} else if dfsDue {
 		switch {
 		case s.rvqCount > s.cfg.RVQHi && s.checkerFreqGHz < s.cfg.CheckerMaxFreqGHz-1e-9:
-			s.checkerFreqGHz += s.cfg.FreqStepGHz
+			s.setCheckerFreq(s.checkerFreqGHz + s.cfg.FreqStepGHz)
 		case s.rvqCount < s.cfg.RVQLo && s.checkerFreqGHz > s.cfg.FreqStepGHz+1e-9:
-			s.checkerFreqGHz -= s.cfg.FreqStepGHz
+			s.setCheckerFreq(s.checkerFreqGHz - s.cfg.FreqStepGHz)
 		}
 	}
-	s.freqHist.Add(s.checkerFreqGHz/s.cfg.LeadFreqGHz, leadPeriodPs)
+	s.freqHist.AddBin(s.freqBin, s.leadPeriodPs)
 
 	// Leading core: commit is gated by queue space (and recovery); the
 	// rest of the pipeline keeps running even with a zero commit budget.
-	if s.recoveryStall > 0 {
+	switch {
+	case s.recoveryStall > 0:
 		s.recoveryStall--
 		s.st.RecoveryStalls++
 		s.lead.Step(0)
-	} else {
+	case s.rvqCount == 0 && s.lead.Quiet():
+		// Empty queues leave a non-zero budget, and a quiet core commits
+		// nothing whatever its budget.
+		s.lead.Step(0)
+	default:
 		budget := s.commitBudget()
 		if budget == 0 {
 			s.st.LeadStallCycles++
@@ -351,11 +362,33 @@ func (s *System) Step() {
 	if s.wedged {
 		return
 	}
-	s.credit += s.checkerFreqGHz / s.cfg.LeadFreqGHz
+	s.credit += s.freqRatio
 	for s.credit >= 1 {
 		s.credit--
 		s.checkerCycle()
 	}
+}
+
+// tick opens a leading cycle for Step and Drain alike: it advances the
+// clock, charges the cycle's wall time and RVQ occupancy, and reports
+// whether a DFS interval ends with it.
+func (s *System) tick() bool {
+	s.cycle++
+	s.st.Cycles++
+	s.st.WallTimePs += s.leadPeriodPs
+	s.st.RVQOccupancySum += uint64(s.rvqCount)
+	if s.dfsCountdown--; s.dfsCountdown > 0 {
+		return false
+	}
+	s.dfsCountdown = s.cfg.DFSIntervalCycles
+	return true
+}
+
+// setCheckerFreq moves the checker to f GHz.
+func (s *System) setCheckerFreq(f float64) {
+	s.checkerFreqGHz = f
+	s.freqRatio = f / s.cfg.LeadFreqGHz
+	s.freqBin = s.freqHist.BinOf(s.freqRatio)
 }
 
 // commitBudget bounds this cycle's leading-core commits by the free
@@ -425,6 +458,10 @@ func (s *System) checkerCycle() {
 	if s.hook != nil {
 		s.hook(1000.0/s.checkerFreqGHz, s.checker)
 	}
+	if s.rvqCount == 0 {
+		s.checker.Step(nil, s.outcomes)
+		return
+	}
 	n := s.rvqCount
 	if n > len(s.view) {
 		n = len(s.view)
@@ -485,7 +522,7 @@ func (s *System) onErrorDetected(unrecoverable bool) {
 // instructions, and returns the final statistics.
 func (s *System) Run(n uint64) SystemStats {
 	s.lead.SetFetchBudget(n)
-	for s.lead.Stats().Instructions < n && !s.lead.Drained() {
+	for s.lead.Committed() < n && !s.lead.Drained() {
 		s.Step()
 	}
 	return s.st
@@ -501,18 +538,14 @@ func (s *System) Run(n uint64) SystemStats {
 func (s *System) Drain() uint64 {
 	start := s.cycle
 	for s.rvqCount > 0 && !s.wedged {
-		s.cycle++
-		s.st.Cycles++
-		leadPeriodPs := 1000.0 / s.cfg.LeadFreqGHz
-		s.st.WallTimePs += leadPeriodPs
-		s.st.RVQOccupancySum += uint64(s.rvqCount)
+		s.tick()
 		// The checker sprints at its peak frequency to clear the queue
 		// (DFS would ramp anyway with the leading thread stalled).
-		s.checkerFreqGHz = s.cfg.CheckerMaxFreqGHz
-		s.freqHist.Add(s.checkerFreqGHz/s.cfg.LeadFreqGHz, leadPeriodPs)
+		s.setCheckerFreq(s.cfg.CheckerMaxFreqGHz)
+		s.freqHist.AddBin(s.freqBin, s.leadPeriodPs)
 		s.lead.Step(0)
 		s.st.LeadStallCycles++
-		s.credit += s.checkerFreqGHz / s.cfg.LeadFreqGHz
+		s.credit += s.freqRatio
 		for s.credit >= 1 && s.rvqCount > 0 {
 			s.credit--
 			s.checkerCycle()

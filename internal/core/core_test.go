@@ -279,6 +279,17 @@ func TestProgressAdvancesOnCleanRun(t *testing.T) {
 	}
 }
 
+// TestSystemStepDoesNotAllocate: the queues and the checker's view are
+// preallocated, so no cycle of a clean run allocates.
+func TestSystemStepDoesNotAllocate(t *testing.T) {
+	s := newSystem(t, "mcf", 4)
+	s.Run(5000)
+	s.Lead().SetFetchBudget(^uint64(0)) // keep the pipeline busy while measuring
+	if n := testing.AllocsPerRun(2000, s.Step); n != 0 {
+		t.Errorf("Step allocates %.2f times per cycle, want 0", n)
+	}
+}
+
 func TestWedgeCheckerLivelocksLeadingThread(t *testing.T) {
 	s := newSystem(t, "gzip", 10)
 	s.Run(20_000)

@@ -315,7 +315,7 @@ func (s *Session) computeLeading(k RunKey) (LeadRun, error) {
 	c.Run(s.Q.WarmupInsts)
 	c.ResetStats()
 	c.SetFetchBudget(^uint64(0))
-	for c.Stats().Instructions < s.Q.MeasureInsts {
+	for c.Committed() < s.Q.MeasureInsts {
 		c.Step(cfg.CommitWidth)
 	}
 	return LeadRun{
@@ -361,7 +361,7 @@ func (s *Session) runRMTWindow(k RunKey, cfg core.Config) (RMTRun, error) {
 	sys.Run(s.Q.WarmupInsts)
 	sys.ResetStats()
 	lead.SetFetchBudget(^uint64(0))
-	for lead.Stats().Instructions < s.Q.MeasureInsts {
+	for lead.Committed() < s.Q.MeasureInsts {
 		sys.Step()
 	}
 	cs := sys.Checker().Stats()

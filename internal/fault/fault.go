@@ -310,7 +310,7 @@ func (c *Campaign) Step() {
 // workload drained). A wedged system is never Done — terminating anyway
 // is the watchdog's job.
 func (c *Campaign) Done() bool {
-	return c.sys.Lead().Stats().Instructions >= c.cfg.Instructions || c.sys.Lead().Drained()
+	return c.sys.Lead().Committed() >= c.cfg.Instructions || c.sys.Lead().Drained()
 }
 
 // Cycles returns the leading cycles stepped so far.

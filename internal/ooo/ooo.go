@@ -16,6 +16,7 @@ package ooo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"r3d/internal/bpred"
 	"r3d/internal/cache"
@@ -164,20 +165,20 @@ const (
 )
 
 type robEntry struct {
-	inst     isa.Inst
-	state    uint8
-	mispred  bool
-	fp       bool
-	complete uint64 // cycle at which result is available
-	// readyAt is the first cycle at which both operands are available.
-	// resolve raises it to each producer's completion cycle once that
-	// producer has issued; it is final when dep1 and dep2 are both -1.
+	inst    isa.Inst
+	state   uint8
+	mispred bool
+	fp      bool
+	// pending counts the entry's producers that have not issued yet.
+	pending uint8
+	// consumers heads the list of wakeup edges from this entry to the
+	// entries waiting for it to issue (-1 when empty).
+	consumers int32
+	complete  uint64 // cycle at which result is available
+	// readyAt is the first cycle at which both operands are available:
+	// each producer raises it to its completion cycle when it issues
+	// (or at dispatch, if it already has). It is final once pending is 0.
 	readyAt uint64
-	// deps identify producers by ROB index *and* sequence number; a
-	// mismatch means the producer already committed (its slot may have
-	// been reused by a younger instruction) and the operand is ready.
-	dep1, dep2       int // ROB index; -1 if none or once it has issued
-	dep1Seq, dep2Seq uint64
 }
 
 // InstSource supplies the committed-order instruction stream.
@@ -221,16 +222,24 @@ type Core struct {
 	// iqInt/iqFP/lsq track occupancy of the scheduling structures.
 	iqInt, iqFP, lsq int
 
-	// waiting holds the ROB indices of dispatched, unissued entries,
-	// oldest first: select scans it instead of the whole ROB.
-	waiting []int
+	// edgeNext links the wakeup edges, two per ROB slot: edge 2i+k says
+	// that source k of the entry in slot i waits for the producer whose
+	// consumers list holds it, and edgeNext[2i+k] is the next edge in
+	// that list (-1 ends it).
+	edgeNext []int32
+	// ready has one bit per ROB slot whose unissued entry has no pending
+	// producer; select walks it oldest first.
+	ready []uint64
 	// inflight holds the ROB indices of issued entries awaiting
 	// writeback; nextDone is the earliest completion cycle among them.
 	inflight []int
 	nextDone uint64
-	// issueAt is a lower bound on the next cycle at which any waiting
+	// issueAt is a lower bound on the next cycle at which any ready
 	// entry can issue, so issue skips the cycles before it (see issue).
 	issueAt uint64
+	// wake is the first cycle at which any stage can act (see nextWake);
+	// Step only advances the clock before it.
+	wake uint64
 
 	// done marks that the instruction budget was consumed by fetch.
 	fetchBudget uint64
@@ -257,7 +266,8 @@ func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
 		dtlb:         cache.NewTLB("DTLB"),
 		l2:           l2,
 		rob:          make([]robEntry, cfg.ROBSize),
-		waiting:      make([]int, 0, cfg.ROBSize),
+		edgeNext:     make([]int32, 2*cfg.ROBSize),
+		ready:        make([]uint64, (cfg.ROBSize+63)/64),
 		inflight:     make([]int, 0, cfg.ROBSize),
 		ifq:          make([]isa.Inst, cfg.IFQSize),
 		ifqMispred:   make([]bool, cfg.IFQSize),
@@ -272,6 +282,10 @@ func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
 
 // Stats returns a copy of the statistics so far.
 func (c *Core) Stats() Stats { return c.stats }
+
+// Committed returns Stats().Instructions without copying Stats, for
+// loops that test it every cycle.
+func (c *Core) Committed() uint64 { return c.stats.Instructions }
 
 // ResetStats zeroes the statistics while preserving microarchitectural
 // state (caches, predictor, in-flight instructions). Experiments use it
@@ -292,8 +306,12 @@ func (c *Core) PredictorStats() bpred.PredStats { return c.pred.Stats() }
 func (c *Core) L1DStats() cache.Stats { return c.l1d.Stats() }
 
 // SetFetchBudget bounds the total number of instructions fetched; after
-// the budget is exhausted the pipeline drains.
-func (c *Core) SetFetchBudget(n uint64) { c.fetchBudget = n }
+// the budget is exhausted the pipeline drains. A new budget can restart
+// fetch, so the next Step runs every stage.
+func (c *Core) SetFetchBudget(n uint64) {
+	c.fetchBudget = n
+	c.wake = 0
+}
 
 // Drained reports whether the fetch budget is exhausted and the pipeline
 // is empty.
@@ -304,17 +322,52 @@ func (c *Core) Drained() bool {
 // Step advances the core one cycle, committing at most commitBudget
 // instructions (the RMT coupler uses this to model leading-thread stalls
 // when the RVQ or StB is full). The returned slice is valid until the
-// next call.
+// next call. A cycle before wake, when no stage can act, only advances
+// the clock.
 func (c *Core) Step(commitBudget int) []isa.Inst {
 	c.cycle++
 	c.stats.Activity.Cycles++
+	if c.cycle < c.wake {
+		return c.committedBuf[:0]
+	}
 
 	c.writeback()
 	committed := c.commit(commitBudget)
 	c.issue()
 	c.dispatch()
 	c.fetch()
+	c.wake = c.nextWake()
 	return committed
+}
+
+// Quiet reports whether the next Step can only advance the clock: it
+// commits nothing whatever its budget.
+func (c *Core) Quiet() bool { return c.cycle+1 < c.wake }
+
+// nextWake returns the first cycle at which a stage can act, given the
+// state the stages left this cycle; any value up to the next cycle runs
+// the next Step in full. Each stage acts only when:
+//
+//   - writeback: a completion is due (nextDone);
+//   - commit: the ROB head is Done, which only writeback makes it;
+//   - issue: cycle ≥ issueAt;
+//   - dispatch: the IFQ head fits in the ROB, the LSQ and its issue
+//     queue, which only writeback and commit (to make room) and fetch
+//     (to fill an empty IFQ) change;
+//   - fetch: the stall is over, the IFQ has room and the budget is not
+//     spent; a mispredict stall ends at an issue, the IFQ drains by
+//     dispatch, and the budget changes only by SetFetchBudget, which
+//     clears wake.
+func (c *Core) nextWake() uint64 {
+	if c.robCount > 0 && c.rob[c.robHead].state == stateDone ||
+		c.ifqCount > 0 && c.fits(c.ifq[c.ifqHead]) {
+		return c.cycle + 1
+	}
+	w := min(c.nextDone, c.issueAt)
+	if c.ifqCount < c.cfg.IFQSize && c.fetchedTot < c.fetchBudget {
+		w = min(w, c.fetchStallUntil)
+	}
+	return w
 }
 
 // Run executes until n instructions commit (or the pipeline drains) and
@@ -403,49 +456,32 @@ func (c *Core) pushIFQ(in isa.Inst, mispred bool) {
 }
 
 func (c *Core) dispatch() {
-	for n := 0; n < c.cfg.DispatchWidth && c.ifqCount > 0 && c.robCount < c.cfg.ROBSize; n++ {
+	for n := 0; n < c.cfg.DispatchWidth && c.ifqCount > 0 && c.fits(c.ifq[c.ifqHead]); n++ {
 		in := c.ifq[c.ifqHead]
 		mispred := c.ifqMispred[c.ifqHead]
 		fp := in.Op.IsFP()
-		// Scheduling-structure occupancy.
-		if in.Op.IsMem() {
-			if c.lsq >= c.cfg.LSQSize {
-				return
-			}
-		}
-		if fp {
-			if c.iqFP >= c.cfg.IQFP {
-				return
-			}
-		} else if c.iqInt >= c.cfg.IQInt {
-			return
-		}
-
 		c.ifqHead = (c.ifqHead + 1) % c.cfg.IFQSize
 		c.ifqCount--
 
-		e := &c.rob[c.robTail]
-		*e = robEntry{inst: in, state: stateWaiting, mispred: mispred, fp: fp, dep1: -1, dep2: -1}
+		slot := c.robTail
+		e := &c.rob[slot]
+		*e = robEntry{inst: in, state: stateWaiting, mispred: mispred, fp: fp, consumers: -1}
 		if !in.Src1.IsZero() {
-			if w := c.lastWriter[in.Src1]; w >= 0 {
-				e.dep1, e.dep1Seq = w, c.rob[w].inst.Seq
-			}
+			c.dependOn(slot, 0, c.lastWriter[in.Src1])
 		}
 		if !in.Src2.IsZero() {
-			if w := c.lastWriter[in.Src2]; w >= 0 {
-				e.dep2, e.dep2Seq = w, c.rob[w].inst.Seq
-			}
+			c.dependOn(slot, 1, c.lastWriter[in.Src2])
 		}
 		if in.HasDest() {
-			c.lastWriter[in.Dest] = c.robTail
+			c.lastWriter[in.Dest] = slot
 		}
-		if c.resolve(e) {
+		if e.pending == 0 {
 			// Every producer has issued: the entry's earliest issue
 			// cycle is known now (and is never this cycle, whose issue
 			// stage has run).
+			c.markReady(slot)
 			c.issueAt = min(c.issueAt, max(e.readyAt, c.cycle+1))
 		}
-		c.waiting = append(c.waiting, c.robTail)
 		c.robTail = (c.robTail + 1) % c.cfg.ROBSize
 		c.robCount++
 
@@ -462,33 +498,55 @@ func (c *Core) dispatch() {
 	}
 }
 
-// resolve folds the completion cycle of each of e's producers that has
-// issued into e.readyAt and reports whether both have, after which
-// e.readyAt is final and the producers are never probed again.
-func (c *Core) resolve(e *robEntry) bool {
-	e.dep1 = c.fold(e, e.dep1, e.dep1Seq)
-	e.dep2 = c.fold(e, e.dep2, e.dep2Seq)
-	return e.dep1 < 0 && e.dep2 < 0
+// fits reports whether in has room in the ROB, the LSQ and its issue
+// queue.
+func (c *Core) fits(in isa.Inst) bool {
+	if c.robCount >= c.cfg.ROBSize || in.Op.IsMem() && c.lsq >= c.cfg.LSQSize {
+		return false
+	}
+	if in.Op.IsFP() {
+		return c.iqFP < c.cfg.IQFP
+	}
+	return c.iqInt < c.cfg.IQInt
 }
 
-// fold returns -1 once the producer at ROB index idx has issued, after
-// raising e.readyAt to its completion cycle; it returns idx while the
-// producer still waits.
-func (c *Core) fold(e *robEntry, idx int, seq uint64) int {
-	if idx < 0 {
-		return -1
+// dependOn makes source k of the entry in slot wait for the producer in
+// ROB slot p (-1: the register's architectural value is ready). A
+// producer that has issued already only raises the entry's readyAt;
+// otherwise the entry joins the producer's consumers list, and issue
+// wakes it.
+func (c *Core) dependOn(slot, k, p int) {
+	if p < 0 {
+		return
 	}
-	p := &c.rob[idx]
-	if p.inst.Seq != seq {
-		// Producer committed; its slot belongs to a younger instruction.
-		return -1
+	e, prod := &c.rob[slot], &c.rob[p]
+	if prod.state != stateWaiting {
+		e.readyAt = max(e.readyAt, prod.complete)
+		return
 	}
-	if p.state == stateWaiting {
-		return idx
-	}
-	e.readyAt = max(e.readyAt, p.complete)
-	return -1
+	edge := int32(2*slot + k)
+	c.edgeNext[edge] = prod.consumers
+	prod.consumers = edge
+	e.pending++
 }
+
+// wakeConsumers hands the completion cycle of the producer e, which has
+// just issued, to every entry waiting for it, and marks ready those that
+// wait for nothing else. A consumer is younger than its producer, so it
+// is still in the ROB.
+func (c *Core) wakeConsumers(e *robEntry) {
+	for edge := e.consumers; edge >= 0; edge = c.edgeNext[edge] {
+		slot := int(edge >> 1)
+		d := &c.rob[slot]
+		d.readyAt = max(d.readyAt, e.complete)
+		if d.pending--; d.pending == 0 {
+			c.markReady(slot)
+		}
+	}
+	e.consumers = -1
+}
+
+func (c *Core) markReady(slot int) { c.ready[slot>>6] |= 1 << uint(slot&63) }
 
 // writeback completes every in-flight entry whose result is available
 // by this cycle, releasing its issue-queue and LSQ slots. It runs before
@@ -521,16 +579,18 @@ func (c *Core) writeback() {
 	c.nextDone = next
 }
 
-// issue selects, oldest first, waiting entries whose operands are
+// issue selects, oldest first, ready entries whose operands are
 // available and whose functional unit is free, up to the issue width.
+// It walks the ready bitmap from the ROB head, wrapping at the ROB size,
+// which is program order.
 //
-// It does nothing before c.issueAt. A scan leaves issueAt at the
+// It does nothing before c.issueAt. A walk leaves issueAt at the
 // earliest readyAt among the entries it could not issue, or at the next
-// cycle when it issued anything (a consumer of the issued entry may
-// resolve then) or left a ready entry behind for want of a unit or a
-// slot. An entry whose producer still waits contributes nothing: it
-// cannot issue before that producer does. Every op latency is at least
-// one cycle, so nothing issued this cycle can wake a consumer before the
+// cycle when it issued anything (a consumer of the issued entry may be
+// ready then) or left a ready entry behind for want of a unit or a slot.
+// An entry whose producer has not issued is not in the bitmap: it cannot
+// issue before that producer does. Every op latency is at least one
+// cycle, so nothing issued this cycle can wake a consumer before the
 // next one.
 func (c *Core) issue() {
 	if c.cycle < c.issueAt {
@@ -541,69 +601,81 @@ func (c *Core) issue() {
 	loads, stores := c.cfg.LoadPorts, c.cfg.StorePorts
 
 	next := ^uint64(0)
-	kept := c.waiting[:0]
-	for i, idx := range c.waiting {
-		e := &c.rob[idx]
-		if !c.resolve(e) {
-			kept = append(kept, idx)
-			continue
+	// Visit the head's word twice: first the slots from the head up,
+	// last (after the wrap) the slots below it.
+	words := len(c.ready)
+	hw, hb := c.robHead>>6, uint(c.robHead&63)
+	for i := 0; i <= words; i++ {
+		wi := hw + i
+		if wi >= words {
+			wi -= words
 		}
-		if e.readyAt > c.cycle {
-			kept = append(kept, idx)
-			next = min(next, e.readyAt)
-			continue
+		set := c.ready[wi]
+		switch i {
+		case 0:
+			set &= ^uint64(0) << hb
+		case words:
+			set &= 1<<hb - 1
 		}
-		// Functional unit availability.
-		free := true
-		switch e.inst.Op {
-		case isa.IntALU, isa.BranchCond, isa.BranchUncond:
-			free, alu = take(alu)
-		case isa.IntMult:
-			free, mul = take(mul)
-		case isa.FPALU:
-			free, fpa = take(fpa)
-		case isa.FPMult:
-			free, fpm = take(fpm)
-		case isa.Load:
-			free, loads = take(loads)
-		case isa.Store:
-			free, stores = take(stores)
-		}
-		if !free {
-			kept = append(kept, idx)
+		for ; set != 0; set &= set - 1 {
+			slot := wi<<6 | bits.TrailingZeros64(set)
+			e := &c.rob[slot]
+			if e.readyAt > c.cycle {
+				next = min(next, e.readyAt)
+				continue
+			}
+			// Functional unit availability.
+			free := true
+			switch e.inst.Op {
+			case isa.IntALU, isa.BranchCond, isa.BranchUncond:
+				free, alu = take(alu)
+			case isa.IntMult:
+				free, mul = take(mul)
+			case isa.FPALU:
+				free, fpa = take(fpa)
+			case isa.FPMult:
+				free, fpm = take(fpm)
+			case isa.Load:
+				free, loads = take(loads)
+			case isa.Store:
+				free, stores = take(stores)
+			}
+			if !free {
+				next = c.cycle + 1
+				continue
+			}
+			lat := uint64(e.inst.Op.Latency())
+			if e.inst.Op == isa.Load {
+				lat += c.loadLatency(e.inst.Addr)
+				c.stats.Activity.IssuedMem++
+			} else if e.inst.Op == isa.Store {
+				// Stores complete at issue; the write drains at commit.
+				c.stats.Activity.IssuedMem++
+			} else if e.fp {
+				c.stats.Activity.IssuedFP++
+			} else {
+				c.stats.Activity.IssuedInt++
+			}
+			c.ready[wi] &^= 1 << uint(slot&63)
+			e.state = stateIssued
+			e.complete = c.cycle + lat
+			c.inflight = append(c.inflight, slot)
+			c.nextDone = min(c.nextDone, e.complete)
+			c.wakeConsumers(e)
+			if e.inst.HasDest() {
+				c.stats.Activity.RegWrites++
+			}
+			if e.mispred {
+				// Redirect the front end after resolution.
+				c.fetchStallUntil = e.complete + uint64(c.cfg.MispredictRedirect)
+			}
 			next = c.cycle + 1
-			continue
-		}
-		lat := uint64(e.inst.Op.Latency())
-		if e.inst.Op == isa.Load {
-			lat += c.loadLatency(e.inst.Addr)
-			c.stats.Activity.IssuedMem++
-		} else if e.inst.Op == isa.Store {
-			// Stores complete at issue; the write drains at commit.
-			c.stats.Activity.IssuedMem++
-		} else if e.fp {
-			c.stats.Activity.IssuedFP++
-		} else {
-			c.stats.Activity.IssuedInt++
-		}
-		e.state = stateIssued
-		e.complete = c.cycle + lat
-		c.inflight = append(c.inflight, idx)
-		c.nextDone = min(c.nextDone, e.complete)
-		if e.inst.HasDest() {
-			c.stats.Activity.RegWrites++
-		}
-		if e.mispred {
-			// Redirect the front end after resolution.
-			c.fetchStallUntil = e.complete + uint64(c.cfg.MispredictRedirect)
-		}
-		next = c.cycle + 1
-		if slots--; slots == 0 {
-			kept = append(kept, c.waiting[i+1:]...)
-			break
+			if slots--; slots == 0 {
+				c.issueAt = next
+				return
+			}
 		}
 	}
-	c.waiting = kept
 	c.issueAt = next
 }
 

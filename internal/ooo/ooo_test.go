@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"slices"
 	"testing"
 
 	"r3d/internal/isa"
@@ -289,8 +290,42 @@ func TestStepDoesNotAllocate(t *testing.T) {
 	b, _ := trace.ByName("mcf")
 	c, _ := New(Default(), trace.MustGenerator(b.Profile, 4), newL2())
 	c.Run(5000)
+	c.SetFetchBudget(^uint64(0)) // keep the pipeline busy while measuring
 	if n := testing.AllocsPerRun(2000, func() { c.Step(4) }); n != 0 {
 		t.Errorf("Step allocates %.2f times per cycle, want 0", n)
+	}
+}
+
+// TestQuietCyclesMatchFullSteps: skipping the cycles before wake changes
+// nothing. Two cores from one seed step in lockstep on every profile;
+// the reference clears wake before every Step, so all its stages run
+// every cycle. Commit budgets sweep 0..4 in stretches, and a finite
+// fetch budget drains the pipeline before fetch restarts.
+func TestQuietCyclesMatchFullSteps(t *testing.T) {
+	for _, b := range trace.Suite() {
+		t.Run(b.Profile.Name, func(t *testing.T) {
+			fast, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
+			full, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
+			for i := range 20_000 {
+				switch i {
+				case 8_000:
+					fast.SetFetchBudget(fast.fetchedTot + 300)
+					full.SetFetchBudget(full.fetchedTot + 300)
+				case 12_000:
+					fast.SetFetchBudget(^uint64(0))
+					full.SetFetchBudget(^uint64(0))
+				}
+				budget := i / 50 % 5
+				full.wake = 0
+				got, want := fast.Step(budget), full.Step(budget)
+				if !slices.Equal(got, want) {
+					t.Fatalf("cycle %d: committed %v, every-stage reference %v", fast.Cycle(), got, want)
+				}
+			}
+			if fast.Stats() != full.Stats() {
+				t.Errorf("stats differ:\n%+v\n%+v", fast.Stats(), full.Stats())
+			}
+		})
 	}
 }
 

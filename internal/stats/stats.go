@@ -126,13 +126,17 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 }
 
 // Add accumulates weight w at value x.
-func (h *Histogram) Add(x, w float64) {
-	i := h.binOf(x)
+func (h *Histogram) Add(x, w float64) { h.AddBin(h.BinOf(x), w) }
+
+// AddBin accumulates weight w in bin i, the BinOf of a value a caller
+// adds many times.
+func (h *Histogram) AddBin(i int, w float64) {
 	h.Counts[i] += w
 	h.total += w
 }
 
-func (h *Histogram) binOf(x float64) int {
+// BinOf returns the bin that Add puts value x in.
+func (h *Histogram) BinOf(x float64) int {
 	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
 	if i < 0 {
 		i = 0
