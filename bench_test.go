@@ -9,6 +9,7 @@ package r3d
 import (
 	"testing"
 
+	"r3d/internal/core"
 	"r3d/internal/experiment"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
@@ -189,8 +190,44 @@ func BenchmarkLeadingCore(b *testing.B) {
 			target := uint64(0)
 			for i := 0; i < b.N; i++ {
 				target++
-				for c.Stats().Instructions < target {
+				for c.Committed() < target {
 					c.Step(4)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCoupledCore measures the RMT system's step loop on the same
+// profiles without the set-up BenchmarkReliableSystem pays every op:
+// one system per profile, warmed over 20,000 instructions, steps until
+// one more instruction commits. Its gap to BenchmarkLeadingCore is the
+// cost of coupling the checker to the leading core.
+func BenchmarkCoupledCore(b *testing.B) {
+	for _, name := range []string{"gzip", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			bench, err := trace.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := trace.MustGenerator(bench.Profile, 1)
+			lead, err := ooo.New(ooo.Default(), g, nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := core.New(core.Default(ooo.Default()), lead)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys.Run(20_000)
+			lead.SetFetchBudget(^uint64(0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			target := lead.Committed()
+			for i := 0; i < b.N; i++ {
+				target++
+				for lead.Committed() < target {
+					sys.Step()
 				}
 			}
 		})

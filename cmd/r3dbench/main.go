@@ -18,6 +18,8 @@
 //	r3dbench -stats          # human engine report on stderr
 //	r3dbench -json           # JSON engine report on stderr
 //	r3dbench -cpuprofile f   # runtime/pprof CPU profile, written at exit
+//	r3dbench -memprofile f   # runtime/pprof heap profile, written at exit
+//	                         # after a GC
 //
 // Warm starts: -checkpoint persists every computed simulation window to
 // an atomically committed, CRC-guarded cache file at exit, and
@@ -54,7 +56,8 @@ import (
 func main() { os.Exit(run()) }
 
 // run is the whole command; it returns the exit code so deferred work
-// (the CPU profile) completes on the clean and the drained exits alike.
+// (the CPU and heap profiles) completes on the clean and the drained
+// exits alike.
 func run() int {
 	fast := flag.Bool("fast", false, "small simulation windows and a benchmark subset")
 	only := flag.String("only", "", "run a single experiment")
@@ -65,6 +68,7 @@ func run() int {
 	restore := flag.Bool("restore", false, "preload the -checkpoint cache before running (warm start)")
 	shadow := flag.Float64("shadow", 0, "fraction of cache hits to re-verify by recomputation (0..1)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file at exit")
+	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit, after a GC")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -79,6 +83,21 @@ func run() int {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
 				log.Printf("cpuprofile: %v", err)
+			}
+		}()
+	}
+	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			log.Fatalf("memprofile: %v", err)
+		}
+		defer func() {
+			runtime.GC() // bring the in-use figures up to the exit state
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				log.Printf("memprofile: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				log.Printf("memprofile: %v", err)
 			}
 		}()
 	}
