@@ -121,7 +121,9 @@ type Cache struct {
 	net   *noc.Network
 	ways  int
 	nsets int
-	sets  [][]line
+	// lines holds every set's ways back to back: set i is
+	// lines[i*ways : (i+1)*ways] (see set).
+	lines []line
 	// bankOfWay maps way index → bank for the distributed-ways policy
 	// (ways sorted by distance, way 0 closest). For distributed sets it
 	// is nil and the bank is derived from the set index.
@@ -145,12 +147,8 @@ func New(cfg Config) *Cache {
 		net:   noc.New(cfg.HopsPerBank),
 		ways:  ways,
 		nsets: nsets,
-		sets:  make([][]line, nsets),
+		lines: make([]line, nsets*ways),
 		stats: Stats{BankAccesses: make([]uint64, banks)},
-	}
-	backing := make([]line, nsets*ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
 	if cfg.Policy == DistributedWays {
 		c.bankOfWay = banksByDistance(cfg.HopsPerBank)
@@ -193,6 +191,12 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(blk % uint64(c.nsets)), blk / uint64(c.nsets)
 }
 
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line {
+	lo := i * c.ways
+	return c.lines[lo : lo+c.ways : lo+c.ways]
+}
+
 // bankOf returns the bank holding (set, way) under the active policy.
 func (c *Cache) bankOf(set, way int) int {
 	if c.cfg.Policy == DistributedSets {
@@ -209,7 +213,7 @@ func (c *Cache) Access(addr uint64, write bool) (latency int, miss bool) {
 	c.stats.Accesses++
 	c.clock++
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == tag {
@@ -268,14 +272,14 @@ func (c *Cache) promote(set, way int) {
 	if way == 0 {
 		return
 	}
-	ways := c.sets[set]
+	ways := c.set(set)
 	ways[way], ways[way-1] = ways[way-1], ways[way]
 }
 
 // Probe reports presence without side effects.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
+	for _, l := range c.set(set) {
 		if l.valid && l.tag == tag {
 			return true
 		}
