@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"r3d/internal/core"
 	"r3d/internal/nuca"
-	"r3d/internal/ooo"
 	"r3d/internal/power"
 )
 
@@ -105,27 +103,6 @@ func DFSAblationManifest(q Quality) []RunKey {
 func (s *Session) rmtVariant(bench string, v DFSVariant) (RMTRun, error) {
 	r, err := s.eng.Get(DFSVariantKey(s.Q, bench, v.Name))
 	return r.rmt, err
-}
-
-// computeDFSVariant is the KindDFSVariant window body: an RMT window
-// with the named variant's thresholds substituted into the DFS
-// controller.
-func (s *Session) computeDFSVariant(k RunKey) (RMTRun, error) {
-	var v DFSVariant
-	found := false
-	for _, cand := range DFSVariants() {
-		if cand.Name == k.DFSVariant {
-			v, found = cand, true
-			break
-		}
-	}
-	if !found {
-		return RMTRun{}, fmt.Errorf("experiment: unknown DFS variant %q", k.DFSVariant)
-	}
-	cfg := core.Default(ooo.Default())
-	cfg.RVQLo, cfg.RVQHi, cfg.DFSIntervalCycles = v.Lo, v.Hi, v.Interval
-	cfg.EmergencyRamp = v.Emergency
-	return s.runRMTWindow(k, cfg)
 }
 
 // String renders the ablation table.

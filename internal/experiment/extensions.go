@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"r3d/internal/core"
 	"r3d/internal/dtm"
 	"r3d/internal/floorplan"
 	"r3d/internal/inorder"
@@ -250,16 +249,6 @@ func QueueSizing(s *Session) (QueueSizingResult, error) {
 func (s *Session) rmtQueueSize(bench string, size int) (RMTRun, error) {
 	r, err := s.eng.Get(RVQSizeKey(s.Q, bench, size))
 	return r.rmt, err
-}
-
-// computeRVQSize is the KindRVQSize window body: an RMT window with the
-// swept queue capacity (thresholds scaled to the same 30%/60% points).
-func (s *Session) computeRVQSize(k RunKey) (RMTRun, error) {
-	cfg := core.Default(ooo.Default())
-	cfg.RVQSize = k.RVQSize
-	cfg.RVQLo = k.RVQSize * 3 / 10
-	cfg.RVQHi = k.RVQSize * 6 / 10
-	return s.runRMTWindow(k, cfg)
 }
 
 // String renders the queue-sizing sweep.

@@ -236,3 +236,68 @@ func TestConcurrentSessionRace(t *testing.T) {
 		t.Error("concurrent requests produced no hits or joins")
 	}
 }
+
+// TestConcurrentKeysShareOneSimulation checks the window memo under a
+// two-worker prefetch: the 2.0 GHz RMT key, the ablation's default
+// variant and the sweep's 200-entry RVQ name one configuration, so
+// four keys cost two simulations, and each shared value is the one a
+// session that simulates that key alone computes. A leading window's
+// memory latency 0 and 300 name one simulation too.
+func TestConcurrentKeysShareOneSimulation(t *testing.T) {
+	q := tinyQuality()
+	twins := []RunKey{
+		RMTKey(q, "gzip", L2DA, 2.0),
+		DFSVariantKey(q, "gzip", "default"),
+		RVQSizeKey(q, "gzip", 200),
+	}
+	s := NewSessionWith(q, SessionOptions{Workers: 2})
+	if err := s.Prefetch(append(twins, DFSVariantKey(q, "gzip", "conservative"))); err != nil {
+		t.Fatal(err)
+	}
+	rep := s.EngineReport()
+	if rep.Stats.Computed != 4 || rep.Simulated != 2 {
+		t.Errorf("computed %d keys with %d simulations, want 4 with 2", rep.Stats.Computed, rep.Simulated)
+	}
+	var first []byte
+	for _, k := range twins {
+		v, err := s.eng.Cached(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := encodeRunValue(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if string(got) != string(first) {
+			t.Errorf("%s and %s differ", k, twins[0])
+		}
+		alone := NewSession(q)
+		if _, err := alone.eng.Get(k); err != nil {
+			t.Fatal(err)
+		}
+		if rep := alone.EngineReport(); rep.Simulated != 1 {
+			t.Fatalf("%s alone: %d simulations, want 1", k, rep.Simulated)
+		}
+		w, _ := alone.eng.Cached(k)
+		want, err := encodeRunValue(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: shared value differs from its own simulation:\n%s\n--- vs ---\n%s", k, got, want)
+		}
+	}
+
+	lead := NewSessionWith(q, SessionOptions{Workers: 2})
+	if err := lead.Prefetch([]RunKey{
+		LeadingKey(q, "mcf", L2DA, nuca.DistributedSets, 0),
+		LeadingKey(q, "mcf", L2DA, nuca.DistributedSets, 300),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := lead.EngineReport(); rep.Stats.Computed != 2 || rep.Simulated != 1 {
+		t.Errorf("memory latency 0 and 300: computed %d keys with %d simulations, want 2 with 1", rep.Stats.Computed, rep.Simulated)
+	}
+}

@@ -205,6 +205,87 @@ func TestShadowVerifiesPreloadedWindows(t *testing.T) {
 	}
 }
 
+// TestShadowRecomputesSharedWindowsFromScratch tampers with a persisted
+// dfs/<b>/default window whose rmt/<b>/2d-a/2.00GHz twin the session
+// simulates first, so the twin's simulation sits in the window memo
+// under the spec both keys name. The memo entry is then made to agree
+// with the tampered window: a shadow recompute that read the memo
+// would find nothing wrong, so only one that simulates from scratch
+// reports the divergence.
+func TestShadowRecomputesSharedWindowsFromScratch(t *testing.T) {
+	q := tinyQuality()
+	path := filepath.Join(t.TempDir(), "bench.ckpt")
+	key := DFSVariantKey(q, "gzip", "default")
+
+	s1 := NewSession(q)
+	if _, err := s1.eng.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := cacheFingerprint(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ckpt.Load(path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ce cacheEntry
+	if err := snap.Decode(0, &ce); err != nil {
+		t.Fatal(err)
+	}
+	if ce.RMT == nil || CompareRunKeys(ce.Key, key) != 0 {
+		t.Fatalf("entry 0 is not %s: %+v", key, ce)
+	}
+	ce.RMT.MeanFreqGHz += 0.5
+	w := ckpt.NewWriter(ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
+	if err := w.Append(ce); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(path); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewSessionWith(q, SessionOptions{ShadowFraction: 1})
+	if _, _, err := s.LoadCache(path); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := s.RMT("gzip", L2DA, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin.MeanFreqGHz == ce.RMT.MeanFreqGHz {
+		t.Fatal("the twin took its value from the preloaded window; preloads must not feed the memo")
+	}
+	if rep := s.EngineReport(); rep.Simulated != 1 {
+		t.Fatalf("twin: %d simulations, want 1", rep.Simulated)
+	}
+	spec, err := resolveWindow(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.simMu.Lock()
+	if _, ok := s.sims[spec]; !ok {
+		s.simMu.Unlock()
+		t.Fatal("the twin's simulation is not in the memo under the default variant's spec")
+	}
+	s.sims[spec] = runValue{rmt: *ce.RMT}
+	s.simMu.Unlock()
+
+	if _, err := s.eng.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	divs := s.ShadowDivergences()
+	if len(divs) != 1 || CompareRunKeys(divs[0].Key, key) != 0 {
+		t.Fatalf("divergences = %+v, want exactly the tampered %s", divs, key)
+	}
+	if divs[0].Stored == divs[0].Recomputed {
+		t.Errorf("divergence encodings equal: %s", divs[0].Stored)
+	}
+}
+
 func TestThermalNonConvergenceCountsWarnings(t *testing.T) {
 	q := tinyQuality()
 	q.ThermalMaxIters = 3

@@ -16,6 +16,9 @@ type RunTiming struct {
 	WallMS    float64 `json:"wall_ms"`
 	SimCycles uint64  `json:"sim_cycles"`
 	Err       bool    `json:"err,omitempty"`
+	// Shared marks a key whose value came from another key's
+	// simulation of the same window spec; its wall time is the wait.
+	Shared bool `json:"shared,omitempty"`
 }
 
 // EngineReport is the session's observability snapshot: scheduler
@@ -27,16 +30,30 @@ type EngineReport struct {
 	Stats   runsched.Stats `json:"stats"`
 	Thermal ThermalStats   `json:"thermal"`
 	Runs    []RunTiming    `json:"runs"`
+	// Simulated counts the simulations behind the computed keys: the
+	// successful Runs that are not Shared.
+	Simulated int `json:"simulated"`
 }
 
 // EngineReport builds the current report from the run engine's records.
 func (s *Session) EngineReport() EngineReport {
 	rep := EngineReport{Workers: s.eng.Workers(), Stats: s.eng.Stats(), Thermal: s.ThermalStats()}
-	for _, rec := range s.eng.Records() {
+	recs := s.eng.Records()
+	shared := make([]bool, len(recs))
+	s.simMu.Lock()
+	for i, rec := range recs {
+		shared[i] = s.shared[rec.Key]
+	}
+	s.simMu.Unlock()
+	for i, rec := range recs {
 		rt := RunTiming{
 			Key:    rec.Key.String(),
 			WallMS: float64(rec.Nanos) / 1e6,
 			Err:    rec.Err,
+			Shared: shared[i],
+		}
+		if !rec.Err && !rt.Shared {
+			rep.Simulated++
 		}
 		if !rec.Err {
 			if v, err := s.eng.Cached(rec.Key); err == nil {
@@ -62,8 +79,8 @@ func (r EngineReport) JSON() ([]byte, error) {
 func (r EngineReport) String() string {
 	var b strings.Builder
 	st := r.Stats
-	fmt.Fprintf(&b, "engine: %d workers, %d computed (%d err), %d cache hits, %d singleflight joins\n",
-		r.Workers, st.Computed, st.Errors, st.Hits, st.Joins)
+	fmt.Fprintf(&b, "engine: %d workers, %d computed (%d err), %d simulated, %d cache hits, %d singleflight joins\n",
+		r.Workers, st.Computed, st.Errors, r.Simulated, st.Hits, st.Joins)
 	// ComputeNanos adds up every window's wall time, so with more than
 	// one worker it can exceed the elapsed time of the run.
 	fmt.Fprintf(&b, "engine: batches requested %d keys, %d deduplicated; compute wall %.1f ms summed over %d worker(s)\n",
@@ -82,19 +99,25 @@ func (r EngineReport) String() string {
 	} else if show > 0 {
 		fmt.Fprintf(&b, "engine: %d runs:\n", show)
 	}
+	// A shared key's cycles are its simulation's, already counted once.
 	var cycles uint64
 	for _, rt := range runs {
-		cycles += rt.SimCycles
+		if !rt.Shared {
+			cycles += rt.SimCycles
+		}
 	}
 	for _, rt := range runs[:show] {
 		status := ""
-		if rt.Err {
+		switch {
+		case rt.Err:
 			status = "  ERR"
+		case rt.Shared:
+			status = "  shared"
 		}
 		fmt.Fprintf(&b, "  %8.1f ms  %12d cycles  %s%s\n", rt.WallMS, rt.SimCycles, rt.Key, status)
 	}
 	if len(runs) > 0 {
-		fmt.Fprintf(&b, "engine: %d simulated cycles across %d windows\n", cycles, len(runs))
+		fmt.Fprintf(&b, "engine: %d simulated cycles across %d simulations of %d windows\n", cycles, r.Simulated, len(runs))
 	}
 	return b.String()
 }

@@ -18,13 +18,22 @@ const (
 	// KindRMT is a coupled leading+checker window with a DFS frequency
 	// cap (bench × L2 organization × checker-GHz cap).
 	KindRMT
-	// KindDFSVariant is an RMT window with non-default DFS thresholds,
-	// named by the §4 ablation variant.
+	// KindDFSVariant is a 2d-a RMT window with the DFS thresholds,
+	// evaluation interval and emergency ramp of one §4 ablation
+	// variant (DFSVariants); the "default" variant is the default
+	// configuration.
 	KindDFSVariant
-	// KindRVQSize is an RMT window with a non-default RVQ capacity (the
-	// §2.1 queue-sizing sweep).
+	// KindRVQSize is a 2d-a RMT window with the swept RVQ capacity of
+	// the §2.1 queue-sizing sweep and thresholds at 30%/60% of it; 200
+	// entries is the default configuration.
 	KindRVQSize
 )
+
+// Keys of different kinds can name one configuration: rmt/<b>/2d-a/
+// 2.00GHz, dfs/<b>/default and rvq/<b>/200 all run the default RMT
+// system, and a leading key's memory latency 0 and 300 are the same
+// window. Each key is still computed, reported and persisted under its
+// own name; the session runs their shared simulation once (window.go).
 
 // CentiGHz is a frequency stored in hundredths of a GHz. RunKeys keep
 // the checker DFS cap in this integer unit so key equality and ordering

@@ -11,7 +11,6 @@
 package experiment
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -110,16 +109,37 @@ type runValue struct {
 }
 
 // Session caches simulation windows across experiments behind a
-// deterministic run engine. It is safe for concurrent use: windows are
-// memoized with per-key singleflight, and thermal solves are memoized
-// the same way — each distinct case (geometry + power maps) is a pure
-// function of its key, solved once on a private State over a shared
-// immutable thermal.Model and published as an immutable snapshot.
-// thermalMu only guards the store's maps; it is never held across a
-// solve, so independent thermal cases solve concurrently.
+// deterministic run engine. It is safe for concurrent use. The engine
+// memoizes one value per RunKey with per-key singleflight; below it,
+// the session memoizes one simulation per window spec (window.go), so
+// keys that name the same configuration — the ablation's default
+// variant, the sweep's 200-entry RVQ and the 2.0 GHz RMT window —
+// share one simulation while each is still computed, reported and
+// persisted under its own name. Thermal solves are memoized the same
+// way: each distinct case (geometry + power maps) is a pure function of
+// its key, solved once on a private State over a shared immutable
+// thermal.Model and published as an immutable snapshot. Neither simMu
+// nor thermalMu is held across a simulation or a solve, so independent
+// windows and thermal cases run concurrently.
 type Session struct {
 	Q   Quality
 	eng *runsched.Engine[RunKey, runValue]
+
+	// simMu guards the window memo (the three fields below).
+	// Simulations run outside the lock.
+	simMu sync.Mutex
+	// sims holds each finished simulation by the spec it ran.
+	// r3dlint:guardedby simMu
+	sims map[windowSpec]runValue
+	// simInflight marks specs being simulated right now; keys that
+	// resolve to one of them wait for the channel to close, which
+	// happens after the value is published (or, on error, withdrawn).
+	// r3dlint:guardedby simMu
+	simInflight map[windowSpec]chan struct{}
+	// shared marks the computed keys whose value came from another
+	// key's simulation.
+	// r3dlint:guardedby simMu
+	shared map[RunKey]bool
 
 	// thermalMu guards the thermal snapshot store (the four fields
 	// below). Solves run outside the lock on private states.
@@ -178,6 +198,9 @@ func NewParallelSession(q Quality, workers int, clock func() int64) *Session {
 func NewSessionWith(q Quality, opts SessionOptions) *Session {
 	s := &Session{
 		Q:               q,
+		sims:            map[windowSpec]runValue{},
+		simInflight:     map[windowSpec]chan struct{}{},
+		shared:          map[RunKey]bool{},
 		models:          map[string]*thermal.Model{},
 		thermalSnaps:    map[thermalKey]*thermalSnapshot{},
 		thermalInflight: map[thermalKey]*thermalCall{},
@@ -235,27 +258,6 @@ func (s *Session) EngineStats() runsched.Stats {
 	return s.eng.Stats()
 }
 
-// computeRun dispatches one engine key to its window family. It must
-// stay a pure function of the key (given the session's quality): the
-// engine memoizes it and runs it from pool workers.
-func (s *Session) computeRun(k RunKey) (runValue, error) {
-	switch k.Kind {
-	case KindLeading:
-		r, err := s.computeLeading(k)
-		return runValue{lead: r}, err
-	case KindRMT:
-		r, err := s.computeRMT(k)
-		return runValue{rmt: r}, err
-	case KindDFSVariant:
-		r, err := s.computeDFSVariant(k)
-		return runValue{rmt: r}, err
-	case KindRVQSize:
-		r, err := s.computeRVQSize(k)
-		return runValue{rmt: r}, err
-	}
-	return runValue{}, fmt.Errorf("experiment: unknown run kind %d", k.Kind)
-}
-
 // L2Config names the paper's cache organizations for lookups.
 type L2Config int
 
@@ -296,88 +298,12 @@ func (s *Session) Leading(bench string, l2c L2Config, policy nuca.Policy, memLat
 	return v.lead, err
 }
 
-// computeLeading is the KindLeading window body.
-func (s *Session) computeLeading(k RunKey) (LeadRun, error) {
-	b, err := trace.ByName(k.Bench)
-	if err != nil {
-		return LeadRun{}, err
-	}
-	cfg := ooo.Default()
-	if k.MemLatency > 0 {
-		cfg.MemLatencyCycles = k.MemLatency
-	}
-	g := trace.MustGenerator(b.Profile, k.Seed)
-	l2 := nuca.New(k.L2.nucaConfig(k.Policy))
-	c, err := ooo.New(cfg, g, l2)
-	if err != nil {
-		return LeadRun{}, err
-	}
-	c.Run(s.Q.WarmupInsts)
-	c.ResetStats()
-	c.SetFetchBudget(^uint64(0))
-	for c.Committed() < s.Q.MeasureInsts {
-		c.Step(cfg.CommitWidth)
-	}
-	return LeadRun{
-		Bench:   k.Bench,
-		Stats:   c.Stats(),
-		L2Stats: l2.Stats(),
-		Pred:    c.PredictorStats().MispredictRate(),
-	}, nil
-}
-
 // RMT runs (or returns the memoized) coupled leading+checker window.
 // maxCheckerGHz caps the checker's DFS range (2.0 homogeneous, 1.4 for
 // the §4 90 nm die).
 func (s *Session) RMT(bench string, l2c L2Config, maxCheckerGHz float64) (RMTRun, error) {
 	v, err := s.eng.Get(RMTKey(s.Q, bench, l2c, maxCheckerGHz))
 	return v.rmt, err
-}
-
-// computeRMT is the KindRMT window body.
-func (s *Session) computeRMT(k RunKey) (RMTRun, error) {
-	cfg := core.Default(ooo.Default())
-	cfg.CheckerMaxFreqGHz = k.CheckerCGHz.GHz()
-	return s.runRMTWindow(k, cfg)
-}
-
-// runRMTWindow drives one coupled window with the given system config —
-// the shared body of the RMT, DFS-variant and RVQ-sizing kinds.
-func (s *Session) runRMTWindow(k RunKey, cfg core.Config) (RMTRun, error) {
-	b, err := trace.ByName(k.Bench)
-	if err != nil {
-		return RMTRun{}, err
-	}
-	g := trace.MustGenerator(b.Profile, k.Seed)
-	l2 := nuca.New(k.L2.nucaConfig(nuca.DistributedSets))
-	lead, err := ooo.New(ooo.Default(), g, l2)
-	if err != nil {
-		return RMTRun{}, err
-	}
-	sys, err := core.New(cfg, lead)
-	if err != nil {
-		return RMTRun{}, err
-	}
-	sys.Run(s.Q.WarmupInsts)
-	sys.ResetStats()
-	lead.SetFetchBudget(^uint64(0))
-	for lead.Committed() < s.Q.MeasureInsts {
-		sys.Step()
-	}
-	cs := sys.Checker().Stats()
-	util := 0.0
-	if cs.Cycles > 0 {
-		util = float64(cs.Issued) / float64(cs.Cycles) / float64(cfg.Checker.Width)
-	}
-	return RMTRun{
-		Bench:         k.Bench,
-		Lead:          lead.Stats(),
-		Sys:           sys.Stats(),
-		CheckerIPC:    cs.IPC(),
-		CheckerUtil:   util,
-		MeanFreqGHz:   sys.MeanCheckerFreqGHz(),
-		FreqFractions: sys.FreqResidency().Fractions(),
-	}, nil
 }
 
 // SuiteActivity returns the per-unit activity factors and the mean L2
