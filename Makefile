@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt campaign-smoke bench-fast bench-thermal crash-test serve-smoke chaos-test
+.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt campaign-smoke bench-fast bench-thermal bench-layers crash-test serve-smoke chaos-test
 
 all: build lint test
 
@@ -70,6 +70,14 @@ race-engine:
 # preconditioner buys per solve.
 bench-thermal:
 	$(GO) test -run - -bench 'BenchmarkSolve(Cold|Warm|Preconditioned)' -benchtime 3x ./internal/thermal/
+
+# Simulator layer microbenchmarks, five runs each with allocation
+# counts: trace generation (one op = one instruction), the bare leading
+# core and the coupled RMT step (one op = one committed instruction),
+# and a whole reliable system with set-up and a cold 20k-instruction
+# window (one op = one system; its B/op is mostly the NUCA L2).
+bench-layers:
+	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|LeadingCore|CoupledCore|ReliableSystem)$$' -benchmem -count 5 .
 
 fmt:
 	gofmt -w .
