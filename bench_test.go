@@ -13,7 +13,6 @@ import (
 	"r3d/internal/experiment"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
-	"r3d/internal/thermal"
 	"r3d/internal/trace"
 )
 
@@ -245,26 +244,6 @@ func BenchmarkReliableSystem(b *testing.B) {
 		if _, err := RunReliable("gzip", L2Org2DA, 20_000, 2.0, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkThermalSolve measures one steady-state 3D solve (cold start).
-func BenchmarkThermalSolve(b *testing.B) {
-	cfg := thermal.Stack3D(7.2, 7.2)
-	grid := make([][]float64, cfg.Ny)
-	for y := range grid {
-		grid[y] = make([]float64, cfg.Nx)
-		for x := range grid[y] {
-			grid[y][x] = 40.0 / float64(cfg.Nx*cfg.Ny)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := thermal.NewSolver(cfg)
-		if err := s.SetPower(0, grid); err != nil {
-			b.Fatal(err)
-		}
-		s.Solve(1e-3, 20_000)
 	}
 }
 

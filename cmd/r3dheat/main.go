@@ -47,16 +47,16 @@ func main() {
 	opt := floorplan.DefaultOptions()
 	opt.CheckerAtCorner = *corner
 
-	solver, res, err := s.SolveThermalDetailed(experiment.ThermalCase{
+	st, res, err := s.SolveThermalDetailed(experiment.ThermalCase{
 		Model: m, Opt: opt, Act: act, L2Rate: rate, CheckerW: *checkerW,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s, checker %.0f W: peak %.1f °C (die1 %.1f)\n\n", *model, *checkerW, res.PeakC, res.PeakDie1C)
-	layers := solver.HeatLayers()
+	layers := st.Model().HeatLayers()
 	names := []string{"die 1 (leading core)", "die 2 (checker + L2)"}
 	for i, l := range layers {
-		fmt.Printf("%s\n%s\n", names[i], solver.HeatmapASCII(l, *cols))
+		fmt.Printf("%s\n%s\n", names[i], st.HeatmapASCII(l, *cols))
 	}
 }

@@ -130,7 +130,7 @@ func (c *Controller) Stats() Stats {
 	if s.TimeMs > 0 {
 		s.MeanFreqGHz = c.weighted / s.TimeMs
 	}
-	s.FinalC = c.tr.Solver().PeakAllC()
+	s.FinalC = c.tr.State().PeakAllC()
 	return s
 }
 
@@ -164,7 +164,7 @@ func (c *Controller) RunPhase(p Phase) error {
 					scaled[y][x] = g[y][x] * scale
 				}
 			}
-			if err := c.tr.Solver().SetPower(die, scaled); err != nil {
+			if err := c.tr.State().SetPower(die, scaled); err != nil {
 				return err
 			}
 		}
@@ -173,7 +173,7 @@ func (c *Controller) RunPhase(p Phase) error {
 		}
 
 		// Sense and act.
-		peak := c.tr.Solver().PeakAllC()
+		peak := c.tr.State().PeakAllC()
 		if peak > c.st.PeakC {
 			c.st.PeakC = peak
 		}

@@ -164,15 +164,11 @@ func (s *Session) SolveThermal(c ThermalCase) (ThermalResult, error) {
 	return res, err
 }
 
-// SolveThermalDetailed is SolveThermal but also returns a solver over a
-// private clone of the converged field (for heatmaps and further
-// probing; mutating it cannot disturb the published snapshot).
-func (s *Session) SolveThermalDetailed(c ThermalCase) (*thermal.Solver, ThermalResult, error) {
-	st, res, err := s.solveThermal(c, true)
-	if err != nil {
-		return nil, res, err
-	}
-	return st.Solver(), res, nil
+// SolveThermalDetailed is SolveThermal but also returns a private clone
+// of the converged state (for heatmaps and further probing; mutating it
+// cannot disturb the published snapshot).
+func (s *Session) SolveThermalDetailed(c ThermalCase) (*thermal.State, ThermalResult, error) {
+	return s.solveThermal(c, true)
 }
 
 // solveThermal resolves a case against the snapshot store: hit, join,

@@ -32,8 +32,8 @@ func TestSuperposition(t *testing.T) {
 	}
 	p1 := randGrid(30)
 	p2 := randGrid(12)
-	solve := func(d1, d2 [][]float64) *Solver {
-		s := NewSolver(cfg)
+	solve := func(d1, d2 [][]float64) *State {
+		s := NewModel(cfg).NewState()
 		if d1 != nil {
 			if err := s.SetPower(0, d1); err != nil {
 				t.Fatal(err)
@@ -66,7 +66,7 @@ func TestSuperposition(t *testing.T) {
 // power.
 func TestPowerBalance(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	const P = 37.0
 	grid := make([][]float64, cfg.Ny)
 	for y := range grid {

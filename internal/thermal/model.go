@@ -15,10 +15,9 @@ const omega = 1.85
 // solve of the same layer stack.
 const coarseFactor = 5
 
-// Model is the immutable half of the solver: everything NewSolver used
-// to precompute — geometry, conductances, heat-layer indices, the
-// ambient boundary — plus a coarse-grid companion model for the
-// preconditioner. A Model is safe to share between any number of
+// Model is the immutable half of the solver — geometry, conductances,
+// heat-layer indices, the ambient boundary — plus a coarse-grid
+// companion model for the preconditioner. A Model is safe to share between any number of
 // concurrent solves: all mutable per-solve data (temperature and power
 // fields) lives in State values created by NewState.
 type Model struct {
@@ -45,7 +44,7 @@ type Model struct {
 }
 
 // NewModel precomputes the immutable solver structure for a stack; it
-// panics on invalid configuration (as NewSolver always has).
+// panics on invalid configuration.
 func NewModel(cfg Config) *Model {
 	return newModel(cfg, true)
 }

@@ -152,7 +152,7 @@ func TestPreconditionTinyGridNoop(t *testing.T) {
 // (or an empty grid) is an error, never an index-out-of-range panic.
 func TestSetPowerRaggedGrid(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 
 	grid := make([][]float64, cfg.Ny)
 	for y := range grid {

@@ -19,8 +19,7 @@
 // Red-black half-sweeps fan out across row bands with byte-identical
 // results at any worker count, and a coarse-grid preconditioner
 // (Precondition) provides a deterministic warm start that replaces
-// order-sensitive warm-start chaining. Solver bundles a Model with one
-// State for callers that don't need concurrency.
+// order-sensitive warm-start chaining.
 package thermal
 
 import (
@@ -168,86 +167,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// Solver bundles an immutable Model with one State, preserving the
-// original single-owner API for callers that don't share the model
-// between concurrent solves. A Solver is not safe for concurrent use;
-// share its Model and give each goroutine its own State instead.
-type Solver struct {
-	m  *Model
-	st *State
-}
-
-// NewSolver builds a solver over a fresh model; it panics on invalid
-// configuration.
-func NewSolver(cfg Config) *Solver { return NewModel(cfg).NewSolver() }
-
-// NewSolver returns a Solver owning a fresh ambient-temperature state
-// over this model.
-func (m *Model) NewSolver() *Solver { return &Solver{m: m, st: m.NewState()} }
-
-// Solver wraps the state in the single-owner Solver API (no copy: the
-// returned solver aliases the state).
-func (st *State) Solver() *Solver { return &Solver{m: st.m, st: st} }
-
-// Model returns the immutable model the solver solves over.
-func (s *Solver) Model() *Model { return s.m }
-
-// State returns the solver's mutable state.
-func (s *Solver) State() *State { return s.st }
-
-// HeatLayers returns the indices of the active (power-injecting) layers
-// in stack order (die 1 first).
-func (s *Solver) HeatLayers() []int { return s.m.HeatLayers() }
-
-// SetPower installs the power map (W per cell) for the die with the
-// given heat-layer ordinal (0 = die 1, 1 = die 2). The grid dimensions
-// must match the solver's: every row is length-checked, so a ragged
-// grid is an error, never a panic.
-func (s *Solver) SetPower(die int, grid [][]float64) error { return s.st.SetPower(die, grid) }
-
-// TotalPower returns the injected power in watts.
-func (s *Solver) TotalPower() float64 { return s.st.TotalPower() }
-
-// Solve iterates red-black SOR until the maximum update falls below
-// tolC (°C) or maxIters is reached, returning the iteration count and
-// whether the tolerance was actually met. converged=false means the
-// field is the best available estimate, not a solution: callers must
-// not silently treat an iteration-capped field as settled. The previous
-// solution is kept as the starting point (warm start). See State.Solve
-// for the parallel-sweep determinism contract.
-func (s *Solver) Solve(tolC Celsius, maxIters int) (iters int, converged bool) {
-	return s.st.Solve(tolC, maxIters)
-}
-
-// PeakC returns the maximum temperature over the given die's active
-// layer (die ordinal as in SetPower).
-func (s *Solver) PeakC(die int) Celsius { return s.st.PeakC(die) }
-
-// PeakAllC returns the maximum temperature over all active layers.
-func (s *Solver) PeakAllC() Celsius { return s.st.PeakAllC() }
-
-// CellC returns the temperature of one cell.
-func (s *Solver) CellC(layer, y, x int) Celsius { return s.st.CellC(layer, y, x) }
-
-// MeanC returns the average temperature of the given die's active layer.
-func (s *Solver) MeanC(die int) Celsius { return s.st.MeanC(die) }
-
-// CopyStateFrom copies another solver's temperature field (the
-// geometries must match); used to start a transient study from a solved
-// steady state.
-func (s *Solver) CopyStateFrom(src *Solver) error {
-	if len(src.st.temp) != len(s.st.temp) {
-		return fmt.Errorf("thermal: geometry mismatch (%d vs %d cells)", len(src.st.temp), len(s.st.temp))
-	}
-	copy(s.st.temp, src.st.temp)
-	return nil
-}
-
-// HeatmapASCII renders one layer's temperature field as a character
-// raster (coarse but invaluable for eyeballing power-map placement).
-// Rows are emitted top edge first.
-func (s *Solver) HeatmapASCII(layer, cols int) string { return s.st.HeatmapASCII(layer, cols) }
 
 // HeatmapASCII renders one layer's temperature field as a character
 // raster. Rows are emitted top edge first.

@@ -43,7 +43,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestZeroPowerIsAmbient(t *testing.T) {
-	s := NewSolver(Stack2D(7.2, 7.2))
+	s := NewModel(Stack2D(7.2, 7.2)).NewState()
 	s.Solve(1e-6, 5000)
 	if got := s.PeakAllC(); math.Abs(float64(got-AmbientC)) > 1e-3 {
 		t.Errorf("unpowered chip at %.3f °C, want ambient %v", got, AmbientC)
@@ -55,7 +55,7 @@ func TestUniformPowerMatchesAnalyticSink(t *testing.T) {
 	// active-layer temperature must equal ambient + P·(R_sink + R_bulk)
 	// to good accuracy (package path carries ~1% of the heat).
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	const P = 40.0
 	if err := s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, P)); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestUniformPowerMatchesAnalyticSink(t *testing.T) {
 
 func TestPowerConservation(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 33))
 	if math.Abs(s.TotalPower()-33) > 1e-9 {
 		t.Errorf("TotalPower = %v, want 33", s.TotalPower())
@@ -90,7 +90,7 @@ func TestPowerConservation(t *testing.T) {
 
 func TestHotSpotIsLocalized(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	g := uniformGrid(cfg.Nx, cfg.Ny, 0)
 	// 20 W concentrated in a 5×5 corner patch.
 	for y := 0; y < 5; y++ {
@@ -100,8 +100,8 @@ func TestHotSpotIsLocalized(t *testing.T) {
 	}
 	s.SetPower(0, g)
 	s.Solve(1e-4, 20000)
-	corner := s.CellC(s.HeatLayers()[0], 2, 2)
-	far := s.CellC(s.HeatLayers()[0], cfg.Ny-3, cfg.Nx-3)
+	corner := s.CellC(s.Model().HeatLayers()[0], 2, 2)
+	far := s.CellC(s.Model().HeatLayers()[0], cfg.Ny-3, cfg.Nx-3)
 	if corner-far < 5 {
 		t.Errorf("hot spot not localized: corner %.2f vs far %.2f", corner, far)
 	}
@@ -112,7 +112,7 @@ func TestHotSpotIsLocalized(t *testing.T) {
 
 func TestMorePowerIsHotter(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 20))
 	s.Solve(1e-4, 20000)
 	t20 := s.PeakAllC()
@@ -127,11 +127,11 @@ func TestMorePowerIsHotter(t *testing.T) {
 func TestLinearity(t *testing.T) {
 	// Steady-state conduction is linear: ΔT scales with power.
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 10))
 	s.Solve(1e-6, 30000)
 	d10 := s.PeakAllC() - cfg.AmbientC
-	s2 := NewSolver(cfg)
+	s2 := NewModel(cfg).NewState()
 	s2.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 30))
 	s2.Solve(1e-6, 30000)
 	d30 := s2.PeakAllC() - cfg.AmbientC
@@ -144,7 +144,7 @@ func TestStackedHeatRaisesDie1(t *testing.T) {
 	// Heat on die 2 must pass through die 1 to reach the sink, raising
 	// die 1's temperature too (the fundamental 3D thermal cost).
 	cfg := Stack3D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 40))
 	s.Solve(1e-5, 30000)
 	base := s.PeakC(0)
@@ -168,10 +168,10 @@ func TestBiggerSinkIsCooler(t *testing.T) {
 	if big.SinkResistanceKperW >= small.SinkResistanceKperW {
 		t.Fatal("larger die must have lower sink resistance")
 	}
-	s1 := NewSolver(small)
+	s1 := NewModel(small).NewState()
 	s1.SetPower(0, uniformGrid(small.Nx, small.Ny, 40))
 	s1.Solve(1e-4, 20000)
-	s2 := NewSolver(big)
+	s2 := NewModel(big).NewState()
 	s2.SetPower(0, uniformGrid(big.Nx, big.Ny, 40))
 	s2.Solve(1e-4, 20000)
 	if s2.PeakAllC() >= s1.PeakAllC() {
@@ -181,7 +181,7 @@ func TestBiggerSinkIsCooler(t *testing.T) {
 
 func TestWarmStartConvergesFaster(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 40))
 	cold, convCold := s.Solve(1e-4, 50000)
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 41))
@@ -196,7 +196,7 @@ func TestWarmStartConvergesFaster(t *testing.T) {
 
 func TestSolveReportsNonConvergence(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	s.SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 40))
 	iters, converged := s.Solve(1e-9, 3)
 	if converged {
@@ -213,7 +213,7 @@ func TestSolveReportsNonConvergence(t *testing.T) {
 }
 
 func TestSetPowerErrors(t *testing.T) {
-	s := NewSolver(Stack2D(7.2, 7.2))
+	s := NewModel(Stack2D(7.2, 7.2)).NewState()
 	if err := s.SetPower(1, uniformGrid(50, 50, 1)); err == nil {
 		t.Error("2D stack has no die 2")
 	}
@@ -228,5 +228,5 @@ func TestNewSolverPanicsOnInvalid(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSolver(Config{})
+	NewModel(Config{})
 }

@@ -37,9 +37,8 @@ func capacityFor(l Layer) float64 {
 // temperature chases a time-varying power map (the paper invokes DTM as
 // the alternative to over-provisioned cooling in §3.2).
 type Transient struct {
-	m   *Model
-	st  *State
-	sol *Solver // single-owner view over st for power/readout access
+	m  *Model
+	st *State
 	// capJ is each cell's heat capacity in joules per kelvin.
 	capJ []float64
 	// maxStablePs is the largest stable explicit-Euler step.
@@ -48,17 +47,13 @@ type Transient struct {
 	scratch     []float64
 }
 
-// NewTransient builds a transient integrator over a fresh model for the
-// given stack.
-func NewTransient(cfg Config) *Transient { return NewTransientFromModel(NewModel(cfg)) }
-
 // NewTransientFromModel builds a transient integrator sharing an
 // existing immutable model, so repeated DTM runs over the same stack
 // skip the conductance precompute. The integrator owns a fresh state.
 func NewTransientFromModel(m *Model) *Transient {
 	cfg := m.cfg
 	st := m.NewState()
-	t := &Transient{m: m, st: st, sol: st.Solver()}
+	t := &Transient{m: m, st: st}
 	cellWm := cfg.DieWmm / float64(cfg.Nx) * 1e-3
 	cellHm := cfg.DieHmm / float64(cfg.Ny) * 1e-3
 	t.capJ = make([]float64, len(st.temp))
@@ -93,9 +88,9 @@ func NewTransientFromModel(m *Model) *Transient {
 	return t
 }
 
-// Solver exposes the integrator's state through the single-owner solver
-// API (power maps, temperature readout).
-func (t *Transient) Solver() *Solver { return t.sol }
+// State exposes the integrator's state (power maps, temperature
+// readout).
+func (t *Transient) State() *State { return t.st }
 
 // TimePs returns the integrated simulation time.
 func (t *Transient) TimePs() float64 { return t.timePs }

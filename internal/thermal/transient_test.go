@@ -11,14 +11,14 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	cfg.Nx, cfg.Ny = 20, 20 // coarse grid keeps the test quick
 	grid := uniformGrid(cfg.Nx, cfg.Ny, 40)
 
-	steady := NewSolver(cfg)
+	steady := NewModel(cfg).NewState()
 	if err := steady.SetPower(0, grid); err != nil {
 		t.Fatal(err)
 	}
 	steady.Solve(1e-7, 200000)
 
-	tr := NewTransient(cfg)
-	if err := tr.Solver().SetPower(0, grid); err != nil {
+	tr := NewTransientFromModel(NewModel(cfg))
+	if err := tr.State().SetPower(0, grid); err != nil {
 		t.Fatal(err)
 	}
 	// Integrate 0.2 s: the sink's thermal mass has a time constant of
@@ -27,7 +27,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err := tr.Step(2e11); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.Solver().MeanC(0) - cfg.AmbientC
+	got := tr.State().MeanC(0) - cfg.AmbientC
 	want := steady.MeanC(0) - cfg.AmbientC
 	if frac := got / want; frac < 0.6 || frac > 1.02 {
 		t.Errorf("after 0.2 s the transient covered %.0f%% of the rise (%.2f of %.2f °C)", frac*100, got, want)
@@ -40,31 +40,31 @@ func TestSteadyStateIsTransientFixedPoint(t *testing.T) {
 	cfg := Stack3D(7.2, 7.2)
 	cfg.Nx, cfg.Ny = 16, 16
 	grid := uniformGrid(cfg.Nx, cfg.Ny, 30)
-	steady := NewSolver(cfg)
+	steady := NewModel(cfg).NewState()
 	steady.SetPower(0, grid)
 	steady.Solve(1e-8, 400000)
 
-	tr := NewTransient(cfg)
-	tr.Solver().SetPower(0, grid)
-	if err := tr.Solver().CopyStateFrom(steady); err != nil {
+	tr := NewTransientFromModel(NewModel(cfg))
+	if err := tr.State().CopyFrom(steady); err != nil {
 		t.Fatal(err)
 	}
-	before := tr.Solver().PeakAllC()
+	tr.State().SetPower(0, grid)
+	before := tr.State().PeakAllC()
 	if err := tr.Step(1e9); err != nil { // 1 ms
 		t.Fatal(err)
 	}
-	after := tr.Solver().PeakAllC()
+	after := tr.State().PeakAllC()
 	if math.Abs(float64(after-before)) > 0.05 {
 		t.Errorf("steady state drifted under transient dynamics: %.3f → %.3f", before, after)
 	}
 }
 
 func TestCopyStateFromMismatch(t *testing.T) {
-	a := NewSolver(Stack2D(7.2, 7.2))
+	a := NewModel(Stack2D(7.2, 7.2)).NewState()
 	small := Stack2D(7.2, 7.2)
 	small.Nx, small.Ny = 10, 10
-	b := NewSolver(small)
-	if err := a.CopyStateFrom(b); err == nil {
+	b := NewModel(small).NewState()
+	if err := a.CopyFrom(b); err == nil {
 		t.Error("geometry mismatch must error")
 	}
 }
@@ -72,16 +72,16 @@ func TestCopyStateFromMismatch(t *testing.T) {
 func TestTransientMonotoneWarmup(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
 	cfg.Nx, cfg.Ny = 16, 16
-	tr := NewTransient(cfg)
-	if err := tr.Solver().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 30)); err != nil {
+	tr := NewTransientFromModel(NewModel(cfg))
+	if err := tr.State().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 30)); err != nil {
 		t.Fatal(err)
 	}
-	prev := tr.Solver().MeanC(0)
+	prev := tr.State().MeanC(0)
 	for i := 0; i < 6; i++ {
 		if err := tr.Step(5e9); err != nil { // 5 ms
 			t.Fatal(err)
 		}
-		cur := tr.Solver().MeanC(0)
+		cur := tr.State().MeanC(0)
 		if cur < prev-1e-9 {
 			t.Fatalf("warming chip cooled down: %.3f → %.3f", prev, cur)
 		}
@@ -98,13 +98,13 @@ func TestTransientMonotoneWarmup(t *testing.T) {
 func TestTransientCoolsAfterPowerOff(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
 	cfg.Nx, cfg.Ny = 16, 16
-	tr := NewTransient(cfg)
-	tr.Solver().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 40))
+	tr := NewTransientFromModel(NewModel(cfg))
+	tr.State().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 40))
 	tr.Step(5e10)
-	hot := tr.Solver().MeanC(0)
-	tr.Solver().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 0))
+	hot := tr.State().MeanC(0)
+	tr.State().SetPower(0, uniformGrid(cfg.Nx, cfg.Ny, 0))
 	tr.Step(5e10)
-	cool := tr.Solver().MeanC(0)
+	cool := tr.State().MeanC(0)
 	if cool >= hot {
 		t.Errorf("chip must cool after power-off: %.2f → %.2f", hot, cool)
 	}
@@ -113,7 +113,7 @@ func TestTransientCoolsAfterPowerOff(t *testing.T) {
 func TestTransientStepValidation(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
 	cfg.Nx, cfg.Ny = 8, 8
-	tr := NewTransient(cfg)
+	tr := NewTransientFromModel(NewModel(cfg))
 	if err := tr.Step(0); err == nil {
 		t.Error("zero step must error")
 	}
@@ -128,12 +128,12 @@ func TestTransientStepValidation(t *testing.T) {
 func TestHeatmapASCII(t *testing.T) {
 	cfg := Stack2D(7.2, 7.2)
 	cfg.Nx, cfg.Ny = 20, 20
-	s := NewSolver(cfg)
+	s := NewModel(cfg).NewState()
 	g := uniformGrid(cfg.Nx, cfg.Ny, 0)
 	g[2][2] = 20 // hot corner
 	s.SetPower(0, g)
 	s.Solve(1e-4, 50000)
-	hm := s.HeatmapASCII(s.HeatLayers()[0], 20)
+	hm := s.HeatmapASCII(s.Model().HeatLayers()[0], 20)
 	if !strings.Contains(hm, "@") {
 		t.Errorf("hot spot missing from heatmap:\n%s", hm)
 	}
