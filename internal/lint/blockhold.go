@@ -21,48 +21,33 @@ var BlockHold = &Analyzer{
 }
 
 func runBlockHold(mp *ModulePass) {
-	prog := buildLockProgram(mp.Pkgs)
-	la := newLockAnalysis(prog)
+	fb := mp.facts()
 
 	// blockChain[f] explains why calling f may block: the positional-
 	// first chain from f to a blocking operation. Seeds whose operation
 	// carries a reasoned blockhold directive are skipped and do not
-	// propagate.
-	blockChain := map[*fnFacts]string{}
-	for _, n := range prog.nodes {
+	// propagate. Goroutines block on their own time and defers run at
+	// exit, so only plain calls pass a chain on.
+	blockChain := fb.chains(func(n *fnNode) (string, bool) {
 		for _, b := range n.blocks {
-			if mp.SuppressedAt(b.pos, "blockhold") {
-				continue
-			}
-			blockChain[n] = n.name + " → " + b.desc
-			break
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range prog.nodes {
-			if _, ok := blockChain[n]; ok {
-				continue
-			}
-			for _, c := range n.calls {
-				if c.kind != callNormal {
-					continue // goroutines block on their own time; defers run at exit
-				}
-				if chain, ok := callBlockChain(mp, prog, la, blockChain, c); ok {
-					blockChain[n] = n.name + " → " + chain
-					changed = true
-					break
-				}
+			if !mp.SuppressedAt(b.pos, "blockhold") {
+				return b.desc, true
 			}
 		}
-	}
+		return "", false
+	}, func(_ *fnNode, c *callSite, blockChain map[*fnNode]string) (string, bool) {
+		if c.kind != callNormal {
+			return "", false
+		}
+		return callBlockChain(mp, fb, blockChain, c)
+	})
 
 	// Findings at the frontier: a blocking operation or a call to a
 	// blocking function, at a point where this function itself holds a
 	// lock locally. Inherited (entry-held) locks are deliberately not
 	// reported here — the caller that actually took the lock holds the
 	// critical section and gets the finding at its own call site.
-	for _, n := range prog.nodes {
+	for _, n := range fb.nodes {
 		for _, b := range n.blocks {
 			if len(b.held) == 0 || mp.SuppressedAt(b.pos, "blockhold") {
 				continue
@@ -73,7 +58,7 @@ func runBlockHold(mp *ModulePass) {
 			if c.kind != callNormal || len(c.held) == 0 {
 				continue
 			}
-			chain, ok := callBlockChain(mp, prog, la, blockChain, c)
+			chain, ok := callBlockChain(mp, fb, blockChain, c)
 			if !ok {
 				continue
 			}
@@ -86,19 +71,14 @@ func runBlockHold(mp *ModulePass) {
 // annotated r3dlint:blocks, or it transitively reaches a blocking
 // operation. A reasoned blockhold directive at the call site stops the
 // classification (and, during the fixpoint, propagation past it).
-func callBlockChain(mp *ModulePass, prog *lockProgram, la *lockAnalysis, blockChain map[*fnFacts]string, c lockCall) (string, bool) {
+func callBlockChain(mp *ModulePass, fb *factBase, blockChain map[*fnNode]string, c *callSite) (string, bool) {
 	if mp.SuppressedAt(c.pos, "blockhold") {
 		return "", false
 	}
-	if reason, ok := prog.blocksAnn[c.callee]; ok {
+	if reason, ok := fb.blocksAnn[c.callee]; ok {
 		return c.callee.Name() + " (" + reason + ")", true
 	}
-	for _, callee := range la.calleeFacts(c) {
-		if chain, ok := blockChain[callee]; ok {
-			return chain, true
-		}
-	}
-	return "", false
+	return fb.calleeChain(blockChain, c)
 }
 
 // heldNames renders a held-set for messages, e.g.

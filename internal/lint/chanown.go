@@ -55,12 +55,8 @@ type chanSummary struct {
 }
 
 func runChanOwn(mp *ModulePass) {
-	prog := buildGoProgram(mp.Pkgs)
-	for _, e := range prog.annErrs {
-		if e.check == "chanown" {
-			mp.Reportf(e.pos, "%s", e.msg)
-		}
-	}
+	fb := mp.facts()
+	fb.reportAnnErrs(mp)
 	sums := buildChanSummaries(mp.Pkgs)
 	for _, pkg := range mp.Pkgs {
 		for _, f := range pkg.Files {
@@ -74,7 +70,7 @@ func runChanOwn(mp *ModulePass) {
 					continue
 				}
 				w := &chanWalker{
-					mp: mp, prog: prog, sums: sums, pkg: pkg, fn: obj,
+					mp: mp, closer: fb.closerFn[obj], sums: sums, pkg: pkg, fn: obj,
 					params:      map[*types.Var]bool{},
 					allocs:      map[string]bool{},
 					deferClosed: map[string]bool{},
@@ -149,7 +145,7 @@ func joinChanStates(a, b *chanState) *chanState {
 // flow state) reporting ownership and lifecycle findings.
 type chanWalker struct {
 	mp          *ModulePass
-	prog        *goProgram
+	closer      bool // the declaration is annotated r3dlint:closer
 	sums        map[*types.Func]*chanSummary
 	pkg         *Package
 	fn          *types.Func  // enclosing declaration
@@ -662,23 +658,22 @@ func (w *chanWalker) handleClose(x ast.Expr, pos token.Pos, st *chanState, defer
 	if !ok {
 		return
 	}
-	_, annotated := w.prog.closerFn[w.fn]
 	switch ref.kind {
 	case crParam:
-		if !annotated {
+		if !w.closer {
 			w.mp.Reportf(pos,
 				"close of channel parameter %s: the allocating owner closes; if the owner hands it off here, annotate the declaration: // r3dlint:closer <reason>",
 				ref.disp)
 		}
 	case crField:
 		ownMethod := w.recv != nil && ref.named != nil && w.recv.Obj() == ref.named.Obj()
-		if !ownMethod && !w.allocs[ref.key] && !annotated {
+		if !ownMethod && !w.allocs[ref.key] && !w.closer {
 			w.mp.Reportf(pos,
 				"close of %s outside its owning type: only the allocator, a method of %s, or an annotated // r3dlint:closer may close it",
 				ref.disp, ref.named.Obj().Name())
 		}
 	case crPkgVar:
-		if ref.foreign && !annotated {
+		if ref.foreign && !w.closer {
 			w.mp.Reportf(pos, "close of package-level channel %s from another package", ref.disp)
 		}
 	}

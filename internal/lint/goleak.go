@@ -22,68 +22,36 @@ var GoLeak = &Analyzer{
 }
 
 func runGoLeak(mp *ModulePass) {
-	prog := buildGoProgram(mp.Pkgs)
-	for _, e := range prog.annErrs {
-		if e.check == "goleak" {
-			mp.Reportf(e.pos, "%s", e.msg)
-		}
-	}
+	fb := mp.facts()
+	fb.reportAnnErrs(mp)
 
 	// forever[f] explains why f may never return: the positional-first
 	// chain from f to an uncovered endless loop. Seeds whose loop
 	// carries a reasoned goleak directive are skipped and do not
-	// propagate.
-	forever := map[*goFacts]string{}
-	for _, n := range prog.nodes {
+	// propagate; neither does a call carrying one.
+	forever := fb.chains(func(n *fnNode) (string, bool) {
 		for _, l := range n.loops {
-			if !l.unbounded || l.covered() {
-				continue
-			}
-			if mp.SuppressedAt(l.pos, "goleak") {
-				continue
-			}
-			forever[n] = n.name + " → " + l.desc
-			break
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range prog.nodes {
-			if _, ok := forever[n]; ok {
-				continue
-			}
-			for _, c := range n.calls {
-				if c.kind == callGo {
-					continue // a spawned callee blocks on its own goroutine
-				}
-				if mp.SuppressedAt(c.pos, "goleak") {
-					continue
-				}
-				for _, callee := range prog.calleeFacts(c) {
-					if chain, ok := forever[callee]; ok {
-						forever[n] = n.name + " → " + chain
-						changed = true
-						break
-					}
-				}
-				if _, ok := forever[n]; ok {
-					break
-				}
+			if l.unbounded && !l.covered() && !mp.SuppressedAt(l.pos, "goleak") {
+				return l.desc, true
 			}
 		}
-	}
+		return "", false
+	}, func(_ *fnNode, c *callSite, forever map[*fnNode]string) (string, bool) {
+		// A spawned callee blocks on its own goroutine.
+		if c.kind == callGo || mp.SuppressedAt(c.pos, "goleak") {
+			return "", false
+		}
+		return fb.calleeChain(forever, c)
+	})
 
 	// Findings at spawn sites: the body may run forever and no excuse
 	// applies — not joined, not daemon-annotated.
-	for _, n := range prog.nodes {
+	for _, n := range fb.nodes {
 		for _, sp := range n.spawns {
-			if sp.joined || prog.daemonAt(sp.pos, sp.target) {
+			if sp.joined || fb.daemonAt(sp.pos, sp.target) {
 				continue
 			}
-			body := sp.lit
-			if body == nil && sp.target != nil {
-				body = prog.byFn[sp.target]
-			}
+			body := fb.spawnBody(sp)
 			if body == nil {
 				continue // stdlib or func-value spawn: no module body to prove against
 			}

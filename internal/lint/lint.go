@@ -72,7 +72,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // A ModulePass carries a whole-program analyzer's view of the module:
 // every loaded package, the module root (empty for in-memory fixture
-// runs), the run's suppression directives and the report sink.
+// runs), the run's suppression directives, the report sink and the
+// run's shared concurrency fact base.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -80,6 +81,7 @@ type ModulePass struct {
 	Pkgs     []*Package
 	ignores  *ignoreSet
 	report   func(Finding)
+	flow     *flowCache
 }
 
 // Reportf records a finding at pos.

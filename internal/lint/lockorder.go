@@ -31,15 +31,14 @@ type lockEdge struct {
 }
 
 func runLockOrder(mp *ModulePass) {
-	prog := buildLockProgram(mp.Pkgs)
-	la := newLockAnalysis(prog)
+	fb := mp.facts()
 
 	// Transitive acquisitions per function: every lock a call to f may
 	// take, excluding `go` sites (new goroutine) — a union fixpoint,
 	// with the shortest witness chain kept for messages.
 	type acq struct{ chain string } // "" = acquired directly in the function
-	trans := map[*fnFacts]map[lockID]acq{}
-	for _, n := range prog.nodes {
+	trans := map[*fnNode]map[lockID]acq{}
+	for _, n := range fb.nodes {
 		m := map[lockID]acq{}
 		for _, a := range n.acquires {
 			if _, ok := m[a.id]; !ok {
@@ -50,12 +49,12 @@ func runLockOrder(mp *ModulePass) {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, n := range prog.nodes {
+		for _, n := range fb.nodes {
 			for _, c := range n.calls {
 				if c.kind == callGo {
 					continue
 				}
-				for _, callee := range la.calleeFacts(c) {
+				for _, callee := range fb.callees(c) {
 					for _, id := range detmap.SortedKeys(trans[callee]) {
 						if _, ok := trans[n][id]; ok {
 							continue
@@ -86,9 +85,9 @@ func runLockOrder(mp *ModulePass) {
 			edges[e.from][e.to] = e
 		}
 	}
-	for _, n := range prog.nodes {
+	for _, n := range fb.nodes {
 		for _, a := range n.acquires {
-			eff := la.effectiveHeld(n, a.held)
+			eff := fb.effectiveHeld(n, a.held)
 			if eff[a.id] != lockNone {
 				mp.Reportf(a.pos, "%s acquired while already held by %s (self-deadlock)",
 					a.id.display(), n.name)
@@ -102,11 +101,11 @@ func runLockOrder(mp *ModulePass) {
 			if c.kind == callGo {
 				continue
 			}
-			eff := la.effectiveHeld(n, c.held)
+			eff := fb.effectiveHeld(n, c.held)
 			if len(eff) == 0 {
 				continue
 			}
-			for _, callee := range la.calleeFacts(c) {
+			for _, callee := range fb.callees(c) {
 				for _, id := range detmap.SortedKeys(trans[callee]) {
 					chain := callee.name
 					if sub := trans[callee][id].chain; sub != "" {

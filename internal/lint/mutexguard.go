@@ -15,20 +15,17 @@ var MutexGuard = &Analyzer{
 }
 
 func runMutexGuard(mp *ModulePass) {
-	prog := buildLockProgram(mp.Pkgs)
-	for _, e := range prog.annErrs {
-		mp.Reportf(e.pos, "%s", e.msg)
-	}
-	if len(prog.guards) == 0 {
+	fb := mp.facts()
+	fb.reportAnnErrs(mp)
+	if len(fb.guards) == 0 {
 		return
 	}
-	la := newLockAnalysis(prog)
 
 	// `x.f = append(x.f, v)` touches the field twice on one line; keep
 	// one violation per line and target — the write if there is one —
 	// rather than reporting the read and the write separately.
 	type violation struct {
-		node   *fnFacts
+		node   *fnNode
 		access guardAccess
 		mode   lockMode // effective hold strength at the access
 	}
@@ -39,10 +36,10 @@ func runMutexGuard(mp *ModulePass) {
 	}
 	best := map[vkey]violation{}
 	var order []vkey
-	for _, n := range prog.nodes {
+	for _, n := range fb.nodes {
 		for _, a := range n.accesses {
-			g := prog.guards[a.target]
-			mode := la.effectiveHeld(n, a.held)[a.guard]
+			g := fb.guards[a.target]
+			mode := fb.effectiveHeld(n, a.held)[g.guard]
 			if (a.write && mode == lockWrite) || (!a.write && mode >= lockRead) {
 				continue // satisfied
 			}
@@ -62,10 +59,10 @@ func runMutexGuard(mp *ModulePass) {
 
 	for _, k := range order {
 		v := best[k]
-		a, g := v.access, prog.guards[v.access.target]
+		a, g := v.access, fb.guards[v.access.target]
 		if a.write && v.mode == lockRead {
 			mp.Reportf(a.pos, "write to %s with %s held only for reading; writes need the exclusive Lock",
-				g.target, a.guard.display())
+				g.target, g.guard.display())
 			continue
 		}
 		verb := "read of"
@@ -73,8 +70,8 @@ func runMutexGuard(mp *ModulePass) {
 			verb = "write to"
 		}
 		msg := "%s %s without %s held"
-		args := []any{verb, g.target, a.guard.display()}
-		if chain := la.unlockedPath(v.node, a.guard); chain != "" {
+		args := []any{verb, g.target, g.guard.display()}
+		if chain := fb.unlockedPath(v.node, g.guard); chain != "" {
 			msg += " (unlocked path: %s)"
 			args = append(args, chain)
 		}

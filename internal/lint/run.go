@@ -42,7 +42,9 @@ func RunDir(dir string, pkgs []*Package, analyzers []*Analyzer) []Finding {
 // RunDirStats is RunDir, additionally returning per-analyzer statistics
 // in the order the analyzers were given. Wall time is measured with the
 // injected monotonic clock (nanoseconds); a nil clock records zero
-// durations, so the findings path pays nothing for the plumbing.
+// durations, so the findings path pays nothing for the plumbing. The
+// concurrency analyzers share one fact base, whose construction is
+// charged to the first of them that runs.
 func RunDirStats(dir string, pkgs []*Package, analyzers []*Analyzer, clock func() int64) ([]Finding, []AnalyzerStat) {
 	ignores, findings := collectIgnores(fsetOf(pkgs), pkgs)
 	report := func(f Finding) {
@@ -54,6 +56,7 @@ func RunDirStats(dir string, pkgs []*Package, analyzers []*Analyzer, clock func(
 		clock = func() int64 { return 0 }
 	}
 	wall := map[string]int64{}
+	flow := &flowCache{}
 	for _, a := range analyzers {
 		if a.Run == nil {
 			continue
@@ -76,6 +79,7 @@ func RunDirStats(dir string, pkgs []*Package, analyzers []*Analyzer, clock func(
 			Pkgs:     pkgs,
 			ignores:  ignores,
 			report:   report,
+			flow:     flow,
 		}
 		start := clock()
 		a.RunModule(mp)

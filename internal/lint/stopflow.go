@@ -36,95 +36,50 @@ type stopSource struct {
 }
 
 func runStopFlow(mp *ModulePass) {
-	prog := buildGoProgram(mp.Pkgs)
+	fb := mp.facts()
 
-	sources := map[*goFacts][]stopSource{}
-	for _, n := range prog.nodes {
+	sources := map[*fnNode][]stopSource{}
+	for _, n := range fb.nodes {
 		sources[n] = stopSourcesOf(n)
 	}
 
 	// mayBlock[f] explains why calling f may block indefinitely.
-	mayBlock := map[*goFacts]string{}
-	for _, n := range prog.nodes {
-		if len(n.blocks) > 0 {
-			mayBlock[n] = n.name + " → " + n.blocks[0].desc
+	mayBlock := fb.chains(func(n *fnNode) (string, bool) {
+		return firstIndefinite(n.blocks)
+	}, func(_ *fnNode, c *callSite, mayBlock map[*fnNode]string) (string, bool) {
+		if c.kind != callNormal {
+			return "", false
 		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range prog.nodes {
-			if _, ok := mayBlock[n]; ok {
-				continue
-			}
-			for _, c := range n.calls {
-				if c.kind != callNormal {
-					continue
-				}
-				for _, callee := range prog.calleeFacts(c) {
-					if chain, ok := mayBlock[callee]; ok {
-						mayBlock[n] = n.name + " → " + chain
-						changed = true
-						break
-					}
-				}
-				if _, ok := mayBlock[n]; ok {
-					break
-				}
-			}
-		}
-	}
+		return fb.calleeChain(mayBlock, c)
+	})
 
 	// needsStop[f] explains why f (which receives no stop signal of its
 	// own) reaches a blocking loop that observes no stop signal at all.
 	// Propagation stops at obligation holders: they get their own
 	// findings, and their callers discharge the obligation by passing
 	// the signal to them.
-	needsStop := map[*goFacts]string{}
-	for _, n := range prog.nodes {
+	needsStop := fb.chains(func(n *fnNode) (string, bool) {
 		if len(sources[n]) > 0 {
-			continue
+			return "", false
 		}
 		for _, l := range n.loops {
 			if len(l.stops) > 0 || mp.SuppressedAt(l.pos, "stopflow") {
 				continue
 			}
-			desc, blocks := loopBlockDesc(prog, mayBlock, l, nil)
-			if !blocks {
-				continue
-			}
-			needsStop[n] = n.name + " → " + l.desc + " blocking on " + desc
-			break
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range prog.nodes {
-			if _, ok := needsStop[n]; ok {
-				continue
-			}
-			if len(sources[n]) > 0 {
-				continue
-			}
-			for _, c := range n.calls {
-				if c.kind != callNormal || mp.SuppressedAt(c.pos, "stopflow") {
-					continue
-				}
-				for _, callee := range prog.calleeFacts(c) {
-					if chain, ok := needsStop[callee]; ok {
-						needsStop[n] = n.name + " → " + chain
-						changed = true
-						break
-					}
-				}
-				if _, ok := needsStop[n]; ok {
-					break
-				}
+			if desc, blocks := loopBlockDesc(fb, mayBlock, l, nil); blocks {
+				return l.desc + " blocking on " + desc, true
 			}
 		}
-	}
+		return "", false
+	}, func(n *fnNode, c *callSite, needsStop map[*fnNode]string) (string, bool) {
+		if len(sources[n]) > 0 || c.kind != callNormal || mp.SuppressedAt(c.pos, "stopflow") {
+			return "", false
+		}
+		return fb.calleeChain(needsStop, c)
+	})
 
 	// Findings in obligation holders.
-	for _, n := range prog.nodes {
+	for _, n := range fb.nodes {
 		srcs := sources[n]
 		if len(srcs) == 0 {
 			continue
@@ -133,7 +88,7 @@ func runStopFlow(mp *ModulePass) {
 			if loopObserves(l, srcs) || mp.SuppressedAt(l.pos, "stopflow") {
 				continue
 			}
-			desc, blocks := loopBlockDesc(prog, mayBlock, l, srcs)
+			desc, blocks := loopBlockDesc(fb, mayBlock, l, srcs)
 			if !blocks {
 				continue
 			}
@@ -144,12 +99,9 @@ func runStopFlow(mp *ModulePass) {
 			if c.kind != callNormal || mp.SuppressedAt(c.pos, "stopflow") {
 				continue
 			}
-			for _, callee := range prog.calleeFacts(c) {
-				if chain, ok := needsStop[callee]; ok {
-					mp.Reportf(c.pos, "call may reach a blocking loop that never observes %s (%s)",
-						sourceNames(srcs), chain)
-					break
-				}
+			if chain, ok := fb.calleeChain(needsStop, c); ok {
+				mp.Reportf(c.pos, "call may reach a blocking loop that never observes %s (%s)",
+					sourceNames(srcs), chain)
 			}
 		}
 	}
@@ -161,18 +113,16 @@ func runStopFlow(mp *ModulePass) {
 // A call that forwards one of the holder's stop sources as an argument
 // discharges the obligation for that call: the callee receives the
 // signal, and if it ignores it the callee gets its own finding.
-func loopBlockDesc(prog *goProgram, mayBlock map[*goFacts]string, l *goLoop, srcs []stopSource) (string, bool) {
-	if len(l.blocks) > 0 {
-		return l.blocks[0].desc, true
+func loopBlockDesc(fb *factBase, mayBlock map[*fnNode]string, l *loop, srcs []stopSource) (string, bool) {
+	if desc, ok := firstIndefinite(l.blocks); ok {
+		return desc, true
 	}
 	for _, c := range l.calls {
 		if c.kind != callNormal || forwardsSource(c, srcs) {
 			continue
 		}
-		for _, callee := range prog.calleeFacts(c) {
-			if chain, ok := mayBlock[callee]; ok {
-				return chain, true
-			}
+		if chain, ok := fb.calleeChain(mayBlock, c); ok {
+			return chain, true
 		}
 	}
 	return "", false
@@ -184,7 +134,7 @@ func loopBlockDesc(prog *goProgram, mayBlock map[*goFacts]string, l *goLoop, src
 // *some* stop channel has made a deliberate signal choice, even when
 // the channel is a local timeout or a receiver field rather than the
 // parameter this function was handed.
-func loopObserves(l *goLoop, srcs []stopSource) bool {
+func loopObserves(l *loop, srcs []stopSource) bool {
 	for _, sr := range l.stops {
 		if sr.terminates {
 			return true
@@ -198,7 +148,7 @@ func loopObserves(l *goLoop, srcs []stopSource) bool {
 
 // forwardsSource reports whether the call passes one of the stop
 // sources (or its stop-like field) to the callee as an argument.
-func forwardsSource(c *goCall, srcs []stopSource) bool {
+func forwardsSource(c *callSite, srcs []stopSource) bool {
 	for _, sr := range c.stopArgs {
 		if matchesSource(sr, srcs) {
 			return true
@@ -227,7 +177,7 @@ func matchesSource(sr stopRecv, srcs []stopSource) bool {
 // stopSourcesOf derives the stop signals a function receives from its
 // parameter list: stop-like channel parameters, context.Context
 // parameters, and stop-like channel fields of struct parameters.
-func stopSourcesOf(n *goFacts) []stopSource {
+func stopSourcesOf(n *fnNode) []stopSource {
 	if n.sig == nil {
 		return nil
 	}
