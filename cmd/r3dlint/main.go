@@ -14,7 +14,7 @@
 // consumes); -only and -skip filter the suite by comma-separated
 // analyzer name (an unknown name is a usage error listing the valid
 // ones); -stats reports per-analyzer wall time and finding counts on
-// stderr; -baseline suppresses the findings recorded in the given
+// stderr, then their sum; -baseline suppresses the findings recorded in the given
 // file and fails only on regressions, reporting baseline entries that
 // no longer match anything as stale (non-fatal); -fix-baseline
 // rewrites the -baseline file in place, dropping those stale entries.
@@ -126,9 +126,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findings, perAnalyzer := lint.RunDirStats(m.Dir, m.Pkgs, analyzers, clock)
 	if *stats {
 		printf(stderr, "r3dlint: analyzer stats (findings, wall ms):\n")
+		total := lint.AnalyzerStat{Name: "total"}
 		for _, st := range perAnalyzer {
 			printf(stderr, "  %-13s %4d %10.3f\n", st.Name, st.Findings, float64(st.WallNS)/1e6)
+			total.Findings += st.Findings
+			total.WallNS += st.WallNS
 		}
+		printf(stderr, "  %-13s %4d %10.3f\n", total.Name, total.Findings, float64(total.WallNS)/1e6)
 	}
 
 	if *fixBaseline {

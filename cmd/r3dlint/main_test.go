@@ -282,12 +282,14 @@ func TestStatsAreByteStable(t *testing.T) {
 		t.Errorf("-stats output differs under an identical injected clock\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
 	// One injected tick between the start and end reads: each analyzer
-	// reports exactly 1.000 ms and its golden finding count.
+	// reports exactly 1.000 ms and its golden finding count, and the
+	// total row sums them.
 	for _, want := range []string{
 		"r3dlint: analyzer stats (findings, wall ms):",
 		"goleak           3      1.000",
 		"chanown          3      1.000",
 		"stopflow         3      1.000",
+		"total            9      3.000",
 	} {
 		if !strings.Contains(first, want) {
 			t.Errorf("stats block missing %q:\n%s", want, first)
