@@ -41,6 +41,37 @@ func goldenKeys(q Quality) []RunKey {
 	return slices.Compact(keys)
 }
 
+// TestCheckerCapReachesWindows pins what windows.golden cannot: at
+// goldenQuality every rmt/<b>/2d-a/1.40GHz digest equals its 2.00 GHz
+// twin, so a resolveWindow that dropped the checker's DFS cap would
+// still pass TestWindowsGolden. At Fast() windows ÷ 30 the cap changes
+// the gzip and mesa windows.
+func TestCheckerCapReachesWindows(t *testing.T) {
+	q := Fast()
+	q.WarmupInsts /= 30
+	q.MeasureInsts /= 30
+	s := NewSession(q)
+	for _, b := range []string{"gzip", "mesa"} {
+		capped, full := RMTKey(q, b, L2DA, 1.40), RMTKey(q, b, L2DA, 2.00)
+		if err := s.Prefetch([]RunKey{capped, full}); err != nil {
+			t.Fatal(err)
+		}
+		var enc [2][]byte
+		for i, k := range []RunKey{capped, full} {
+			v, err := s.eng.Cached(k)
+			if err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+			if enc[i], err = encodeRunValue(v); err != nil {
+				t.Fatalf("%s: %v", k, err)
+			}
+		}
+		if bytes.Equal(enc[0], enc[1]) {
+			t.Errorf("%s and %s computed identical windows; the checker cap did not reach the simulation", capped, full)
+		}
+	}
+}
+
 // TestWindowsGolden pins the values the simulator computes: one line
 // per window with the SHA-256 of its canonical encoding (the bytes the
 // shadow check compares). Worker-count identity and shadow checks only
