@@ -74,10 +74,13 @@ bench-thermal:
 # Simulator layer microbenchmarks, five runs each with allocation
 # counts: trace generation (one op = one instruction), the bare leading
 # core and the coupled RMT step (one op = one committed instruction),
-# and a whole reliable system with set-up and a cold 20k-instruction
-# window (one op = one system; its B/op is mostly the NUCA L2).
+# a whole reliable system with set-up and a cold 20k-instruction
+# window (one op = one system; its B/op is mostly the NUCA L2), and the
+# thermal solve the session runs: a cold state, the coarse-grid
+# preconditioner, then the fine solve (one op = one solve).
 bench-layers:
 	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|LeadingCore|CoupledCore|ReliableSystem)$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench '^BenchmarkSolvePreconditioned$$' -benchmem -count 5 ./internal/thermal/
 
 fmt:
 	gofmt -w .

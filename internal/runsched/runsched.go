@@ -525,8 +525,10 @@ dispatch:
 	return nil
 }
 
-// Cached returns the memoized value for k without computing anything.
-// The bool reports whether k has been committed.
+// Cached returns the memoized value and error for k without computing
+// anything. For a key that has not been committed it returns the zero
+// value and a nil error, which is indistinguishable from a committed
+// zero value; use Has to tell the two apart.
 func (e *Engine[K, V]) Cached(k K) (V, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
