@@ -404,7 +404,9 @@ func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
 	}
 	if kind == callNormal {
 		if desc, ok := blockingCallDesc(fn); ok {
-			w.block(desc, call.Pos(), held, desc == "time.Sleep" || strings.Contains(desc, "file I/O"))
+			// Sleeps and local file I/O finish on their own.
+			finite := desc == "time.Sleep" || strings.Contains(desc, "file I/O")
+			w.block(desc, call.Pos(), held, finite)
 			return
 		}
 	}
