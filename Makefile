@@ -38,9 +38,9 @@ lint-strict:
 lint-json:
 	$(GO) run ./cmd/r3dlint -json ./...
 
-# Per-analyzer cost report on stderr (wall time + finding counts) —
-# where the suite's budget goes when a run feels slow. Exit code
-# matches lint-strict.
+# Per-analyzer cost report on stderr (wall time + finding counts, then
+# their total) — where the suite's budget goes when a run feels slow.
+# Exit code matches lint-strict.
 lint-stats:
 	$(GO) run ./cmd/r3dlint -stats ./...
 
