@@ -69,16 +69,23 @@ func (s PredStats) MispredictRate() float64 {
 // SimpleScalar initialization.
 func New() *Predictor {
 	p := &Predictor{}
+	p.Reset()
+	return p
+}
+
+// Reset returns p to the state New builds.
+func (p *Predictor) Reset() {
 	for i := range p.bimodal {
 		p.bimodal[i] = 1
 	}
+	clear(p.l1[:])
 	for i := range p.l2 {
 		p.l2[i] = 1
 	}
 	for i := range p.meta {
 		p.meta[i] = 2 // slight initial preference for the 2-level side
 	}
-	return p
+	p.stats = PredStats{}
 }
 
 func bimodalIndex(pc uint64) int { return int(pc>>2) & (BimodalEntries - 1) }
@@ -150,6 +157,9 @@ type BTB struct {
 
 // NewBTB returns an empty BTB.
 func NewBTB() *BTB { return &BTB{} }
+
+// Reset empties b, as NewBTB builds it.
+func (b *BTB) Reset() { *b = BTB{} }
 
 func btbIndex(pc uint64) (set int, tag uint64) {
 	return int(pc>>2) & (BTBSets - 1), pc >> 16

@@ -90,6 +90,16 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, sets: sets, setShift: shift, setMask: uint64(nsets - 1)}
 }
 
+// Reset invalidates every line and zeroes the statistics, returning c
+// to the state New builds.
+func (c *Cache) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.clock = 0
+	c.stats = Stats{}
+}
+
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -200,6 +210,9 @@ func NewTLB(name string) *TLB {
 		LineBytes: 8192,
 	})}
 }
+
+// Reset empties the TLB, as NewTLB builds it.
+func (t *TLB) Reset() { t.c.Reset() }
 
 // Access touches the page containing addr and reports a TLB hit.
 func (t *TLB) Access(addr uint64) bool {

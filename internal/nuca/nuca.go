@@ -135,6 +135,16 @@ type Cache struct {
 // New builds a NUCA cache; it panics on invalid configuration (geometry
 // is static in this simulator).
 func New(cfg Config) *Cache {
+	c := &Cache{}
+	c.Reset(cfg)
+	return c
+}
+
+// Reset returns c to the state New(cfg) builds: an empty cache of cfg's
+// organization. It reuses c's line array when that has room for cfg's
+// lines, so one cache can serve windows of every organization without
+// reallocating. It panics on invalid configuration.
+func (c *Cache) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -142,18 +152,24 @@ func New(cfg Config) *Cache {
 	totalLines := cfg.SizeBytes() / LineBytes
 	ways := banks
 	nsets := totalLines / ways
-	c := &Cache{
+	lines := c.lines
+	if cap(lines) < nsets*ways {
+		lines = make([]line, nsets*ways)
+	} else {
+		lines = lines[:nsets*ways]
+		clear(lines)
+	}
+	*c = Cache{
 		cfg:   cfg,
 		net:   noc.New(cfg.HopsPerBank),
 		ways:  ways,
 		nsets: nsets,
-		lines: make([]line, nsets*ways),
+		lines: lines,
 		stats: Stats{BankAccesses: make([]uint64, banks)},
 	}
 	if cfg.Policy == DistributedWays {
 		c.bankOfWay = banksByDistance(cfg.HopsPerBank)
 	}
-	return c
 }
 
 // banksByDistance returns bank indices sorted ascending by hop count

@@ -3,6 +3,7 @@ package nuca
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -208,5 +209,22 @@ func TestStatsCopyIsolated(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if DistributedSets.String() != "distributed-sets" || DistributedWays.String() != "distributed-ways" {
 		t.Error("policy names wrong")
+	}
+}
+
+// TestResetMatchesNew resets a cache that has run under one
+// organization onto each paper organization and requires it to be
+// deeply equal to a fresh cache of that organization.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	c := New(Config3D2A(DistributedWays))
+	for _, cfg := range []Config{Config2DA(DistributedSets), Config2D2A(DistributedWays), Config3D2A(DistributedSets), Config2DA(DistributedWays)} {
+		for i := 0; i < 50_000; i++ {
+			c.Access(uint64(rng.Intn(32<<20)), rng.Intn(4) == 0)
+		}
+		c.Reset(cfg)
+		if !reflect.DeepEqual(c, New(cfg)) {
+			t.Fatalf("%s/%s: a reset cache differs from a fresh one", cfg.Name, cfg.Policy)
+		}
 	}
 }

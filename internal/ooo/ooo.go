@@ -252,32 +252,68 @@ type Core struct {
 // passed in (rather than constructed) because the paper's models differ
 // only in L2 organization and because the RMT system shares it.
 func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
-	if err := cfg.Validate(); err != nil {
+	c := &Core{}
+	if err := c.Reset(cfg, src, l2); err != nil {
 		return nil, err
 	}
-	c := &Core{
+	return c, nil
+}
+
+// Reset returns c to the state New(cfg, src, l2) builds — a cold core
+// at cycle 0 — reusing its predictor, BTB, L1 caches, TLBs and ROB-sized
+// arrays instead of allocating them. On an invalid cfg it returns the
+// error and leaves c unchanged.
+func (c *Core) Reset(cfg Config, src InstSource, l2 *nuca.Cache) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	old := *c
+	*c = Core{
 		cfg:          cfg,
 		src:          src,
-		pred:         bpred.New(),
-		btb:          bpred.NewBTB(),
-		l1i:          cache.New(cache.L1I),
-		l1d:          cache.New(cache.L1D),
-		itlb:         cache.NewTLB("ITLB"),
-		dtlb:         cache.NewTLB("DTLB"),
+		pred:         old.pred,
+		btb:          old.btb,
+		l1i:          old.l1i,
+		l1d:          old.l1d,
+		itlb:         old.itlb,
+		dtlb:         old.dtlb,
 		l2:           l2,
-		rob:          make([]robEntry, cfg.ROBSize),
-		edgeNext:     make([]int32, 2*cfg.ROBSize),
-		ready:        make([]uint64, (cfg.ROBSize+63)/64),
-		inflight:     make([]int, 0, cfg.ROBSize),
-		ifq:          make([]isa.Inst, cfg.IFQSize),
-		ifqMispred:   make([]bool, cfg.IFQSize),
+		rob:          zeroed(old.rob, cfg.ROBSize),
+		edgeNext:     zeroed(old.edgeNext, 2*cfg.ROBSize),
+		ready:        zeroed(old.ready, (cfg.ROBSize+63)/64),
+		inflight:     zeroed(old.inflight, cfg.ROBSize)[:0],
+		ifq:          zeroed(old.ifq, cfg.IFQSize),
+		ifqMispred:   zeroed(old.ifqMispred, cfg.IFQSize),
 		fetchBudget:  ^uint64(0),
-		committedBuf: make([]isa.Inst, 0, cfg.CommitWidth),
+		committedBuf: zeroed(old.committedBuf, cfg.CommitWidth)[:0],
+	}
+	if c.pred == nil {
+		c.pred, c.btb = bpred.New(), bpred.NewBTB()
+		c.l1i, c.l1d = cache.New(cache.L1I), cache.New(cache.L1D)
+		c.itlb, c.dtlb = cache.NewTLB("ITLB"), cache.NewTLB("DTLB")
+	} else {
+		c.pred.Reset()
+		c.btb.Reset()
+		c.l1i.Reset()
+		c.l1d.Reset()
+		c.itlb.Reset()
+		c.dtlb.Reset()
 	}
 	for i := range c.lastWriter {
 		c.lastWriter[i] = -1
 	}
-	return c, nil
+	return nil
+}
+
+// zeroed returns s resized to n zero elements, reusing its array when it
+// has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Stats returns a copy of the statistics so far.

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -333,5 +334,51 @@ func TestStatsAccessors(t *testing.T) {
 	var s Stats
 	if s.IPC() != 0 || s.L2MissesPer10k() != 0 || s.MeanL2HitLatency() != 0 {
 		t.Error("zero-value stats accessors must return 0")
+	}
+}
+
+// TestResetMatchesNew runs a core over one stream and L2 organization,
+// resets it onto another stream, a smaller L2 and a different memory
+// latency, and requires it to be deeply equal to a core built fresh for
+// those, and to stay equal while both run.
+func TestResetMatchesNew(t *testing.T) {
+	b, err := trace.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := New(Default(), trace.MustGenerator(b.Profile, 1), nuca.New(nuca.Config3D2A(nuca.DistributedWays)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used.Run(20_000)
+
+	cfg := Default()
+	cfg.MemLatencyCycles = 270
+	l2 := used.L2()
+	l2.Reset(nuca.Config2DA(nuca.DistributedSets))
+	if err := used.Reset(cfg, trace.MustGenerator(b.Profile, 2), l2); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(cfg, trace.MustGenerator(b.Profile, 2), newL2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatal("a reset core differs from a fresh one")
+	}
+	if got, want := used.Run(10_000), fresh.Run(10_000); got != want {
+		t.Fatalf("after reset: %+v, fresh: %+v", got, want)
+	}
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatal("a reset core and a fresh one diverged while running")
+	}
+
+	bad := cfg
+	bad.ROBSize = 0
+	if err := used.Reset(bad, trace.MustGenerator(b.Profile, 2), l2); err == nil {
+		t.Fatal("Reset accepted a zero ROB")
+	}
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatal("a failed Reset changed the core")
 	}
 }
