@@ -97,9 +97,14 @@ type Options[K comparable, V any] struct {
 	// computes on the calling goroutine.
 	Workers int
 	// Compare orders keys canonically; it is required and must be a
-	// total order. Batches are dispatched and committed in this order,
-	// and Records reports in it.
+	// total order. Batches are committed in this order, and Records
+	// reports in it.
 	Compare func(a, b K) int
+	// Order, when set, is the order batches dispatch their keys in
+	// (Compare's when nil). Only which worker runs what, and when,
+	// depends on it; a caller whose computations share set-up dispatches
+	// the keys that share it together.
+	Order func(a, b K) int
 	// Clock returns a monotonic nanosecond reading for the timing
 	// counters. nil disables timing (all durations zero): the engine is
 	// model code and must not read the host clock itself.
@@ -428,10 +433,15 @@ func (e *Engine[K, V]) PrefetchUntil(keys []K, stop <-chan struct{}) error {
 	}
 	e.mu.Unlock()
 
-	// Bounded fan-out; dispatch in canonical order (compute jobs and
+	// Bounded fan-out; dispatch in Options.Order (compute jobs and
 	// shadow checks interleaved as the key order fell). Completion order
 	// is scheduling-dependent, which is why the commit below re-walks
 	// work in its canonical order instead.
+	queue := work
+	if e.opts.Order != nil {
+		queue = slices.Clone(work)
+		slices.SortStableFunc(queue, func(a, b prefetchJob[K, V]) int { return e.opts.Order(a.k, b.k) })
+	}
 	jobs := make(chan prefetchJob[K, V])
 	var wg sync.WaitGroup
 	workers := min(e.opts.Workers, len(work))
@@ -450,18 +460,18 @@ func (e *Engine[K, V]) PrefetchUntil(keys []K, stop <-chan struct{}) error {
 	}
 	var skipped []K
 dispatch:
-	for i, j := range work {
+	for i, j := range queue {
 		select {
 		case jobs <- j:
 		case <-e.stop:
-			for _, rest := range work[i:] {
+			for _, rest := range queue[i:] {
 				if !rest.shadow {
 					skipped = append(skipped, rest.k)
 				}
 			}
 			break dispatch
 		case <-stop:
-			for _, rest := range work[i:] {
+			for _, rest := range queue[i:] {
 				if !rest.shadow {
 					skipped = append(skipped, rest.k)
 				}

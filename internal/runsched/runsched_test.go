@@ -143,6 +143,40 @@ func TestPrefetchDedupAndOrder(t *testing.T) {
 	}
 }
 
+// TestPrefetchDispatchOrder checks that Options.Order changes only the
+// order keys are computed in: one worker computes them in that order,
+// and the batch still commits in Compare order.
+func TestPrefetchDispatchOrder(t *testing.T) {
+	var order []int
+	e := New(func(k int) (string, error) {
+		order = append(order, k)
+		return fmt.Sprintf("v%d", k), nil
+	}, Options[int, string]{
+		Workers: 1,
+		Compare: func(a, b int) int { return a - b },
+		// Odd keys first, each parity descending.
+		Order: func(a, b int) int {
+			if a%2 != b%2 {
+				return b%2 - a%2
+			}
+			return b - a
+		},
+	})
+	if err := e.Prefetch([]int{4, 1, 2, 5, 3, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[5 3 1 4 2]"; got != want {
+		t.Errorf("computed in order %s, want %s", got, want)
+	}
+	var committed []int
+	for _, r := range e.records {
+		committed = append(committed, r.Key)
+	}
+	if got, want := fmt.Sprint(committed), "[1 2 3 4 5]"; got != want {
+		t.Errorf("committed in order %s, want %s", got, want)
+	}
+}
+
 func TestErrorsAreMemoized(t *testing.T) {
 	boom := errors.New("boom")
 	var computed atomic.Int64
