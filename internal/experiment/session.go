@@ -140,6 +140,15 @@ type Session struct {
 	// key's simulation.
 	// r3dlint:guardedby simMu
 	shared map[RunKey]bool
+	// batches counts the Prefetch calls running now, and setup is the
+	// set-up their windows share (setup.go): the first batch makes it
+	// and the last one drops it.
+	// r3dlint:guardedby simMu
+	batches int
+	// r3dlint:guardedby simMu
+	setup *setUp
+	// onTape is handed to each set-up (tests set it).
+	onTape func(*trace.Tape)
 
 	// thermalMu guards the thermal snapshot store (the four fields
 	// below). Solves run outside the lock on private states.
@@ -208,6 +217,7 @@ func NewSessionWith(q Quality, opts SessionOptions) *Session {
 	engOpts := runsched.Options[RunKey, runValue]{
 		Workers: opts.Workers,
 		Compare: CompareRunKeys,
+		Order:   compareStreams,
 		Clock:   opts.Clock,
 	}
 	if opts.ShadowFraction > 0 {
@@ -239,8 +249,13 @@ func (s *Session) ShadowDivergences() []runsched.Divergence[RunKey] {
 // requested afterwards find their windows memoized; windows a manifest
 // could not declare statically are computed on demand (and still
 // deduplicated through the same singleflight).
+//
+// A batch dispatches the windows of one instruction stream together and
+// replays that stream from one recording, and its workers reuse their
+// leading cores and L2s from window to window (setup.go); windows
+// computed outside any batch build everything from scratch.
 func (s *Session) Prefetch(keys []RunKey) error {
-	return s.eng.Prefetch(keys)
+	return s.PrefetchUntil(keys, nil)
 }
 
 // PrefetchUntil is Prefetch with a per-batch stop channel: closing stop
@@ -250,6 +265,8 @@ func (s *Session) Prefetch(keys []RunKey) error {
 // running; this is how a server imposes per-request deadlines over one
 // shared memo cache.
 func (s *Session) PrefetchUntil(keys []RunKey, stop <-chan struct{}) error {
+	s.beginBatch()
+	defer s.endBatch()
 	return s.eng.PrefetchUntil(keys, stop)
 }
 

@@ -78,14 +78,15 @@ func resolveWindow(k RunKey) (windowSpec, error) {
 //
 // A call for a key the engine already holds is a shadow
 // re-verification, which must recompute from scratch: it simulates
-// and neither reads nor fills the session's window memo.
+// from a fresh generator and fresh tables, without the batches' shared
+// set-up, and neither reads nor fills the session's window memo.
 func (s *Session) computeRun(k RunKey) (runValue, error) {
 	w, err := resolveWindow(k)
 	if err != nil {
 		return runValue{}, err
 	}
 	if s.eng.Has(k) {
-		return s.simulate(w)
+		return s.simulate(w, nil)
 	}
 	for {
 		s.simMu.Lock()
@@ -103,9 +104,10 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 		}
 		done := make(chan struct{})
 		s.simInflight[w] = done
+		setup := s.setup
 		s.simMu.Unlock()
 
-		v, err := s.simulate(w)
+		v, err := s.simulate(w, setup)
 		s.simMu.Lock()
 		if err == nil {
 			s.sims[w] = v
@@ -117,24 +119,24 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 	}
 }
 
-// simulate runs one window from scratch, with no session lock held.
-func (s *Session) simulate(w windowSpec) (runValue, error) {
+// simulate runs one window over the given set-up (nil: from scratch),
+// with no session lock held.
+func (s *Session) simulate(w windowSpec, setup *setUp) (runValue, error) {
 	if w.sys == (core.Config{}) {
-		r, err := s.simulateLeading(w)
+		r, err := s.simulateLeading(w, setup)
 		return runValue{lead: r}, err
 	}
-	r, err := s.simulateRMT(w)
+	r, err := s.simulateRMT(w, setup)
 	return runValue{rmt: r}, err
 }
 
 // simulateLeading runs a standalone leading-core window.
-func (s *Session) simulateLeading(w windowSpec) (LeadRun, error) {
-	g := trace.MustGenerator(w.profile, w.seed)
-	l2 := nuca.New(w.l2.nucaConfig(w.policy))
-	c, err := ooo.New(w.lead, g, l2)
+func (s *Session) simulateLeading(w windowSpec, setup *setUp) (LeadRun, error) {
+	c, err := setup.core(w.lead, setup.stream(w.profile, w.seed), w.l2.nucaConfig(w.policy))
 	if err != nil {
 		return LeadRun{}, err
 	}
+	defer setup.done(c)
 	c.Run(s.Q.WarmupInsts)
 	c.ResetStats()
 	c.SetFetchBudget(^uint64(0))
@@ -144,19 +146,18 @@ func (s *Session) simulateLeading(w windowSpec) (LeadRun, error) {
 	return LeadRun{
 		Bench:   w.profile.Name,
 		Stats:   c.Stats(),
-		L2Stats: l2.Stats(),
+		L2Stats: c.L2().Stats(),
 		Pred:    c.PredictorStats().MispredictRate(),
 	}, nil
 }
 
 // simulateRMT runs a coupled leading+checker window.
-func (s *Session) simulateRMT(w windowSpec) (RMTRun, error) {
-	g := trace.MustGenerator(w.profile, w.seed)
-	l2 := nuca.New(w.l2.nucaConfig(w.policy))
-	lead, err := ooo.New(w.lead, g, l2)
+func (s *Session) simulateRMT(w windowSpec, setup *setUp) (RMTRun, error) {
+	lead, err := setup.core(w.lead, setup.stream(w.profile, w.seed), w.l2.nucaConfig(w.policy))
 	if err != nil {
 		return RMTRun{}, err
 	}
+	defer setup.done(lead)
 	sys, err := core.New(w.sys, lead)
 	if err != nil {
 		return RMTRun{}, err
