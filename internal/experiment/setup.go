@@ -42,29 +42,41 @@ type streamTape struct {
 
 // stream returns a source of the (profile, seed) stream: a reader of
 // its tape, recorded on first use, or a fresh generator for a nil
-// setUp. Beyond limit tapes the least recently used one is dropped;
-// readers that still hold it finish on it.
+// setUp.
 func (p *setUp) stream(profile trace.Profile, seed int64) ooo.InstSource {
 	if p == nil {
 		return trace.MustGenerator(profile, seed)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, st := range p.tapes {
-		if st.profile == profile && st.seed == seed {
-			p.tapes = append(slices.Delete(p.tapes, i, i+1), st)
-			return st.tape.Reader()
-		}
+	if t := p.tape(profile, seed, nil); t != nil {
+		return t.Reader()
 	}
 	t := trace.NewTape(trace.MustGenerator(profile, seed))
 	if p.onTape != nil {
 		p.onTape(t)
 	}
-	if len(p.tapes) >= p.limit {
-		p.tapes = slices.Delete(p.tapes, 0, 1)
+	return p.tape(profile, seed, t).Reader()
+}
+
+// tape returns the tape of the (profile, seed) stream and marks it the
+// most recently used. Without one it keeps and returns add (nil: none),
+// dropping the least recently used tape beyond limit; readers that
+// still hold a dropped tape finish on it.
+func (p *setUp) tape(profile trace.Profile, seed int64, add *trace.Tape) *trace.Tape {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, st := range p.tapes {
+		if st.profile == profile && st.seed == seed {
+			p.tapes = append(slices.Delete(p.tapes, i, i+1), st)
+			return st.tape
+		}
 	}
-	p.tapes = append(p.tapes, streamTape{profile: profile, seed: seed, tape: t})
-	return t.Reader()
+	if add != nil {
+		if len(p.tapes) >= p.limit {
+			p.tapes = slices.Delete(p.tapes, 0, 1)
+		}
+		p.tapes = append(p.tapes, streamTape{profile: profile, seed: seed, tape: add})
+	}
+	return add
 }
 
 // core returns a cold leading core of cfg over src with a cold L2 of

@@ -67,13 +67,6 @@ func NewTape(g *Generator) *Tape {
 	return &Tape{gen: g, seq: g.seq, pc: g.pc, regVal: g.regVal}
 }
 
-// Len returns the number of instructions recorded so far.
-func (t *Tape) Len() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return uint64(len(t.chunks)) * tapeChunkLen
-}
-
 // chunk returns chunk i, recording the stream up to its end first.
 func (t *Tape) chunk(i int) *tapeChunk {
 	t.mu.Lock()
