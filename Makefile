@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt campaign-smoke bench-fast bench-thermal bench-layers crash-test serve-smoke chaos-test
+.PHONY: all build test lint lint-strict lint-json lint-stats race race-engine fmt fuzz-smoke campaign-smoke bench-fast bench-thermal bench-layers crash-test serve-smoke chaos-test
 
 all: build lint test
 
@@ -53,13 +53,14 @@ race:
 
 # Quick race pass over just the concurrent machinery: the experiment
 # session's concurrency tests (engine-backed memoization, the thermal
-# snapshot store's singleflight), the parallel thermal solver's banded
+# snapshot store's singleflight, batches that share tapes and idle
+# cores), readers sharing one trace tape, the parallel thermal solver's banded
 # sweeps, the run engine, the campaign worker pool (journal writes under
 # commitState.mu) and the checkpoint crash/restore tests that race a
 # snapshotter against live commits. The rest of the experiment suite is
 # serial render code — `make race` covers it.
 race-engine:
-	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/
+	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/ ./internal/trace/
 	$(GO) test -race -count=1 -run 'Solve|Precondition|SetPower|Clone' ./internal/thermal/
 	$(GO) test -race -count=1 ./internal/runsched/ ./internal/campaign/ ./internal/ckpt/ ./internal/serve/
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/backoff/ ./internal/chaos/
@@ -72,18 +73,27 @@ bench-thermal:
 	$(GO) test -run - -bench 'BenchmarkSolve(Cold|Warm|Preconditioned)' -benchtime 3x ./internal/thermal/
 
 # Simulator layer microbenchmarks, five runs each with allocation
-# counts: trace generation (one op = one instruction), the bare leading
-# core and the coupled RMT step (one op = one committed instruction),
-# a whole reliable system with set-up and a cold 20k-instruction
-# window (one op = one system; its B/op is mostly the NUCA L2), and the
-# thermal solve the session runs: a cold state, the coarse-grid
-# preconditioner, then the fine solve (one op = one solve).
+# counts: trace generation and tape replay (one op = one instruction),
+# a window's set-up — a leading core and 2d-a L2 built fresh or Reset
+# (one op = one core) — the bare leading core and the coupled RMT step
+# (one op = one committed instruction), a whole reliable system with
+# set-up and a cold 20k-instruction window (one op = one system; its
+# B/op is mostly the NUCA L2), and the thermal solve the session runs:
+# a cold state, the coarse-grid preconditioner, then the fine solve
+# (one op = one solve).
 bench-layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|LeadingCore|CoupledCore|ReliableSystem)$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|TapeReplay|WindowSetup|LeadingCore|CoupledCore|ReliableSystem)$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench '^BenchmarkSolvePreconditioned$$' -benchmem -count 5 ./internal/thermal/
 
 fmt:
 	gofmt -w .
+
+# Fuzz the trace-file reader for a minute (outside `make test`, which
+# runs only FuzzReader's seed corpus). A failing input is saved under
+# internal/trace/testdata/fuzz/FuzzReader and replays in every later
+# `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 60s ./internal/trace/
 
 # End-to-end harness smoke: a small grid (8 trials plus a deliberate
 # livelock) journaled to disk, then resumed from the same journal. The

@@ -256,3 +256,60 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		g.Next()
 	}
 }
+
+// BenchmarkTapeReplay measures replaying a recorded stream, the source
+// a Prefetch batch gives every window after the first of its stream:
+// one op is one instruction of a 65,536-instruction swim recording,
+// replayed from the start each time it ends. Compare it with
+// BenchmarkTraceGeneration, which draws the same stream.
+func BenchmarkTapeReplay(b *testing.B) {
+	bench, _ := trace.ByName("swim")
+	tape := trace.NewTape(trace.MustGenerator(bench.Profile, 1))
+	const n = 1 << 16
+	r := tape.Reader()
+	for i := 0; i < n; i++ {
+		r.Next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			r = tape.Reader()
+		}
+		r.Next()
+	}
+}
+
+// BenchmarkWindowSetup measures building a window's leading core and
+// 2d-a L2 (one op = one core with its L2): "fresh" allocates them as a
+// window built from scratch does, "reset" resets a core and L2 that
+// have run, as a Prefetch batch's workers do between windows.
+func BenchmarkWindowSetup(b *testing.B) {
+	bench, _ := trace.ByName("gzip")
+	g := trace.MustGenerator(bench.Profile, 1)
+	l2cfg := nuca.Config2DA(nuca.DistributedSets)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reset", func(b *testing.B) {
+		c, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Run(20_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l2 := c.L2()
+			l2.Reset(l2cfg)
+			if err := c.Reset(ooo.Default(), g, l2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -198,5 +199,70 @@ func TestDefaultConfigsValid(t *testing.T) {
 	}
 	if L1D.LatencyCycles != 2 {
 		t.Error("L1D is a 2-cycle cache (Table 1)")
+	}
+}
+
+// TestMoreWaysNeverMoreMisses checks true-LRU stack inclusion: over one
+// address stream and one set count, a cache with more ways holds every
+// line a cache with fewer ways holds, so it hits wherever the smaller
+// one hits and never misses more. The caches then run a second stream
+// after Reset and must miss exactly as fresh caches do.
+func TestMoreWaysNeverMoreMisses(t *testing.T) {
+	const sets, lineBytes, maxWays = 64, 64, 12
+	stream := func(seed int64) []uint64 {
+		rng := rand.New(rand.NewSource(seed))
+		s := make([]uint64, 100_000)
+		for i := range s {
+			switch r := rng.Float64(); {
+			case r < 0.4: // four hot lines per set
+				s[i] = uint64(rng.Intn(4*sets)) * lineBytes
+			case r < 0.8: // a loop of eight lines per set
+				s[i] = uint64(i%(8*sets)) * lineBytes
+			default: // anywhere in 16 MB
+				s[i] = uint64(rng.Intn(16 << 20))
+			}
+		}
+		return s
+	}
+	cfg := func(ways int) Config {
+		return Config{Name: "lru", SizeBytes: sets * ways * lineBytes, Assoc: ways, LineBytes: lineBytes, WriteBack: true}
+	}
+	run := func(caches []*Cache, addrs []uint64) {
+		for i, a := range addrs {
+			write := i%5 == 0
+			smallerHit := false
+			for w := range caches {
+				hit, _ := caches[w].Access(a, write)
+				if smallerHit && !hit {
+					t.Fatalf("access %d: %d ways missed a line that %d ways held", i, w+1, w)
+				}
+				smallerHit = hit
+			}
+		}
+		for w := 1; w < len(caches); w++ {
+			if caches[w].Stats().Misses > caches[w-1].Stats().Misses {
+				t.Errorf("%d ways missed %d times, %d ways %d", w+1, caches[w].Stats().Misses, w, caches[w-1].Stats().Misses)
+			}
+		}
+	}
+	used := make([]*Cache, maxWays)
+	fresh := make([]*Cache, maxWays)
+	for w := range used {
+		used[w], fresh[w] = New(cfg(w+1)), New(cfg(w+1))
+	}
+	run(used, stream(1))
+	if used[0].Stats().Misses == used[maxWays-1].Stats().Misses {
+		t.Fatal("the stream does not separate the associativities")
+	}
+	for _, c := range used {
+		c.Reset()
+	}
+	second := stream(2)
+	run(used, second)
+	run(fresh, second)
+	for w := range used {
+		if used[w].Stats() != fresh[w].Stats() {
+			t.Errorf("%d ways after Reset: %+v, fresh: %+v", w+1, used[w].Stats(), fresh[w].Stats())
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 const (
 	traceMagic   = "R3DT"
 	traceVersion = 1
+	recordBytes  = 62
 )
 
 // WriteTrace captures n instructions from the generator to w.
@@ -51,7 +52,7 @@ func WriteTrace(w io.Writer, g *Generator, n uint64) error {
 }
 
 func writeInst(w io.Writer, in *isa.Inst) error {
-	var rec [62]byte
+	var rec [recordBytes]byte
 	binary.LittleEndian.PutUint64(rec[0:], in.Seq)
 	binary.LittleEndian.PutUint64(rec[8:], in.PC)
 	rec[16] = byte(in.Op)
@@ -125,7 +126,7 @@ func (t *Reader) Next() isa.Inst {
 	if t.read >= t.count {
 		panic("trace: replay past end of capture")
 	}
-	var rec [62]byte
+	var rec [recordBytes]byte
 	if _, err := io.ReadFull(t.r, rec[:]); err != nil {
 		panic(fmt.Sprintf("trace: truncated capture: %v", err))
 	}
