@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"sync"
@@ -142,11 +143,8 @@ func compareStreams(a, b RunKey) int {
 	if c := strings.Compare(a.Bench, b.Bench); c != 0 {
 		return c
 	}
-	switch {
-	case a.Seed < b.Seed:
-		return -1
-	case a.Seed > b.Seed:
-		return 1
+	if c := cmp.Compare(a.Seed, b.Seed); c != 0 {
+		return c
 	}
 	return CompareRunKeys(a, b)
 }
