@@ -11,6 +11,7 @@
 package experiment
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -125,8 +126,8 @@ type Session struct {
 	Q   Quality
 	eng *runsched.Engine[RunKey, runValue]
 
-	// simMu guards the window memo (the three fields below).
-	// Simulations run outside the lock.
+	// simMu guards the window memo and the batch set-up (the five
+	// fields below). Simulations run outside the lock.
 	simMu sync.Mutex
 	// sims holds each finished simulation by the spec it ran.
 	// r3dlint:guardedby simMu
@@ -147,8 +148,6 @@ type Session struct {
 	batches int
 	// r3dlint:guardedby simMu
 	setup *setUp
-	// onTape is handed to each set-up (tests set it).
-	onTape func(*trace.Tape)
 
 	// thermalMu guards the thermal snapshot store (the four fields
 	// below). Solves run outside the lock on private states.
@@ -217,7 +216,6 @@ func NewSessionWith(q Quality, opts SessionOptions) *Session {
 	engOpts := runsched.Options[RunKey, runValue]{
 		Workers: opts.Workers,
 		Compare: CompareRunKeys,
-		Order:   compareStreams,
 		Clock:   opts.Clock,
 	}
 	if opts.ShadowFraction > 0 {
@@ -265,6 +263,8 @@ func (s *Session) Prefetch(keys []RunKey) error {
 // running; this is how a server imposes per-request deadlines over one
 // shared memo cache.
 func (s *Session) PrefetchUntil(keys []RunKey, stop <-chan struct{}) error {
+	keys = slices.Clone(keys)
+	slices.SortFunc(keys, compareStreams)
 	s.beginBatch()
 	defer s.endBatch()
 	return s.eng.PrefetchUntil(keys, stop)

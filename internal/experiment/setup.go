@@ -21,9 +21,6 @@ type setUp struct {
 	// limit bounds the tapes and the idle cores kept: the worker count,
 	// which bounds the windows one batch runs at once.
 	limit int
-	// onTape, when set, sees each tape as it is made (tests corrupt
-	// one).
-	onTape func(*trace.Tape)
 
 	mu sync.Mutex
 	// tapes holds the recorded streams, least recently used first.
@@ -52,9 +49,6 @@ func (p *setUp) stream(profile trace.Profile, seed int64) ooo.InstSource {
 		return t.Reader()
 	}
 	t := trace.NewTape(trace.MustGenerator(profile, seed))
-	if p.onTape != nil {
-		p.onTape(t)
-	}
 	return p.tape(profile, seed, t).Reader()
 }
 
@@ -121,7 +115,7 @@ func (s *Session) beginBatch() {
 	s.simMu.Lock()
 	defer s.simMu.Unlock()
 	if s.batches++; s.setup == nil {
-		s.setup = &setUp{limit: s.eng.Workers(), onTape: s.onTape}
+		s.setup = &setUp{limit: s.eng.Workers()}
 	}
 }
 
@@ -137,8 +131,9 @@ func (s *Session) endBatch() {
 
 // compareStreams orders keys by the stream their window replays —
 // bench, then seed — and then canonically. Batches dispatch in this
-// order, so the windows of one stream run together and its tape is
-// recorded once.
+// order (Session.PrefetchUntil sorts the keys it hands the engine), so
+// the windows of one stream run together and its tape is recorded
+// once.
 func compareStreams(a, b RunKey) int {
 	if c := strings.Compare(a.Bench, b.Bench); c != 0 {
 		return c

@@ -75,11 +75,20 @@ func TestShadowReportsTamperedTape(t *testing.T) {
 		at = in.Seq + 1
 	}
 	s := NewSessionWith(q, SessionOptions{ShadowFraction: 1})
-	s.onTape = func(tp *trace.Tape) { tp.Corrupt(at, 1<<40) }
-	for i := 0; i < 2; i++ {
-		if err := s.Prefetch([]RunKey{k}); err != nil {
-			t.Fatal(err)
-		}
+	// The open batch keeps the set-up, and the tampered tape in it,
+	// alive through the first Prefetch; the second one's hit is
+	// shadow-checked.
+	s.beginBatch()
+	tp := trace.NewTape(trace.MustGenerator(b.Profile, q.Seed))
+	tp.Corrupt(at, 1<<40)
+	s.setup.tape(b.Profile, q.Seed, tp)
+	err = s.Prefetch([]RunKey{k})
+	s.endBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prefetch([]RunKey{k}); err != nil {
+		t.Fatal(err)
 	}
 	if d := s.ShadowDivergences(); len(d) != 1 || d[0].Key != k {
 		t.Fatalf("divergences %+v, want one for %s", d, k)

@@ -100,11 +100,6 @@ type Options[K comparable, V any] struct {
 	// total order. Batches are committed in this order, and Records
 	// reports in it.
 	Compare func(a, b K) int
-	// Order, when set, is the order batches dispatch their keys in
-	// (Compare's when nil). Only which worker runs what, and when,
-	// depends on it; a caller whose computations share set-up dispatches
-	// the keys that share it together.
-	Order func(a, b K) int
 	// Clock returns a monotonic nanosecond reading for the timing
 	// counters. nil disables timing (all durations zero): the engine is
 	// model code and must not read the host clock itself.
@@ -371,9 +366,10 @@ type prefetchJob[K comparable, V any] struct {
 }
 
 // Prefetch computes every key in keys across the worker pool. Keys are
-// deduplicated and sorted canonically before dispatch, and results are
-// committed in that same order regardless of completion order, so the
-// engine's observable state after a batch is independent of scheduling.
+// deduplicated and dispatched in the order given (each at its first
+// occurrence), and results are committed in canonical order regardless
+// of dispatch or completion order, so the engine's observable state
+// after a batch is independent of scheduling.
 // Keys already computed count as hits (and may be shadow re-verified in
 // the same pool); keys being computed by another caller are joined. It
 // returns the first error in canonical key order (the same error a
@@ -399,10 +395,14 @@ func (e *Engine[K, V]) Prefetch(keys []K) error {
 func (e *Engine[K, V]) PrefetchUntil(keys []K, stop <-chan struct{}) error {
 	e.mu.Lock()
 	e.stats.BatchRequested += len(keys)
-	uniq := make([]K, len(keys))
-	copy(uniq, keys)
-	slices.SortFunc(uniq, e.opts.Compare)
-	uniq = slices.CompactFunc(uniq, func(a, b K) bool { return e.opts.Compare(a, b) == 0 })
+	uniq := make([]K, 0, len(keys))
+	seen := make(map[K]bool, len(keys))
+	for _, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			uniq = append(uniq, k)
+		}
+	}
 	e.stats.BatchDeduped += len(keys) - len(uniq)
 
 	// Partition: already-memoized keys are hits; keys some other caller
@@ -433,15 +433,10 @@ func (e *Engine[K, V]) PrefetchUntil(keys []K, stop <-chan struct{}) error {
 	}
 	e.mu.Unlock()
 
-	// Bounded fan-out; dispatch in Options.Order (compute jobs and
-	// shadow checks interleaved as the key order fell). Completion order
-	// is scheduling-dependent, which is why the commit below re-walks
-	// work in its canonical order instead.
-	queue := work
-	if e.opts.Order != nil {
-		queue = slices.Clone(work)
-		slices.SortStableFunc(queue, func(a, b prefetchJob[K, V]) int { return e.opts.Order(a.k, b.k) })
-	}
+	// Bounded fan-out; dispatch in the caller's order (compute jobs and
+	// shadow checks interleaved as the keys fell). Completion order is
+	// scheduling-dependent, which is why the commit below re-walks work
+	// in canonical order instead.
 	jobs := make(chan prefetchJob[K, V])
 	var wg sync.WaitGroup
 	workers := min(e.opts.Workers, len(work))
@@ -460,18 +455,18 @@ func (e *Engine[K, V]) PrefetchUntil(keys []K, stop <-chan struct{}) error {
 	}
 	var skipped []K
 dispatch:
-	for i, j := range queue {
+	for i, j := range work {
 		select {
 		case jobs <- j:
 		case <-e.stop:
-			for _, rest := range queue[i:] {
+			for _, rest := range work[i:] {
 				if !rest.shadow {
 					skipped = append(skipped, rest.k)
 				}
 			}
 			break dispatch
 		case <-stop:
-			for _, rest := range queue[i:] {
+			for _, rest := range work[i:] {
 				if !rest.shadow {
 					skipped = append(skipped, rest.k)
 				}
@@ -482,6 +477,9 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
+	// Commit, and report the first error, in canonical order.
+	slices.SortFunc(work, func(a, b prefetchJob[K, V]) int { return e.opts.Compare(a.k, b.k) })
+	slices.SortFunc(uniq, e.opts.Compare)
 	e.mu.Lock()
 	skippedSet := make(map[K]bool, len(skipped))
 	for _, k := range skipped {

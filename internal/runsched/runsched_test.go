@@ -143,29 +143,19 @@ func TestPrefetchDedupAndOrder(t *testing.T) {
 	}
 }
 
-// TestPrefetchDispatchOrder checks that Options.Order changes only the
-// order keys are computed in: one worker computes them in that order,
-// and the batch still commits in Compare order.
+// TestPrefetchDispatchOrder checks that a batch computes its keys in
+// the order the caller passed them (each at its first occurrence) and
+// still commits them in Compare order.
 func TestPrefetchDispatchOrder(t *testing.T) {
 	var order []int
 	e := New(func(k int) (string, error) {
 		order = append(order, k)
 		return fmt.Sprintf("v%d", k), nil
-	}, Options[int, string]{
-		Workers: 1,
-		Compare: func(a, b int) int { return a - b },
-		// Odd keys first, each parity descending.
-		Order: func(a, b int) int {
-			if a%2 != b%2 {
-				return b%2 - a%2
-			}
-			return b - a
-		},
-	})
-	if err := e.Prefetch([]int{4, 1, 2, 5, 3, 2}); err != nil {
+	}, Options[int, string]{Workers: 1, Compare: func(a, b int) int { return a - b }})
+	if err := e.Prefetch([]int{4, 1, 2, 5, 3, 2, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(order), "[5 3 1 4 2]"; got != want {
+	if got, want := fmt.Sprint(order), "[4 1 2 5 3]"; got != want {
 		t.Errorf("computed in order %s, want %s", got, want)
 	}
 	var committed []int
