@@ -5,7 +5,10 @@
 // package nuca and uses this package's Cache for each bank.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache structure.
 type Config struct {
@@ -67,6 +70,8 @@ type Cache struct {
 	sets     [][]line
 	setShift uint
 	setMask  uint64
+	// tagShift drops the set-index bits from a block number.
+	tagShift uint
 	clock    uint32
 	stats    Stats
 }
@@ -87,7 +92,8 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setShift: shift, setMask: uint64(nsets - 1)}
+	mask := uint64(nsets - 1)
+	return &Cache{cfg: cfg, sets: sets, setShift: shift, setMask: mask, tagShift: uint(bits.Len64(mask))}
 }
 
 // Reset invalidates every line and zeroes the statistics, returning c
@@ -108,16 +114,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	blk := addr >> c.setShift
-	return int(blk & c.setMask), blk >> uint64(len64(c.setMask))
-}
-
-func len64(mask uint64) int {
-	n := 0
-	for mask != 0 {
-		mask >>= 1
-		n++
-	}
-	return n
+	return int(blk & c.setMask), blk >> c.tagShift
 }
 
 // Access performs a read (write=false) or write (write=true) to addr.

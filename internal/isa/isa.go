@@ -94,10 +94,11 @@ type Inst struct {
 	Dest Reg
 	// Src1, Src2 are source registers (ZeroReg when unused).
 	Src1, Src2 Reg
+	// Taken is the branch outcome for branches. It sits beside the
+	// register bytes, which keeps Inst at 64 bytes.
+	Taken bool
 	// Addr is the effective address for loads and stores.
 	Addr uint64
-	// Taken is the branch outcome for branches.
-	Taken bool
 	// Target is the branch target for taken branches.
 	Target uint64
 	// Value is the architectural result (used by the checking process:

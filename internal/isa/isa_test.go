@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestOpClassPredicates(t *testing.T) {
 	if !BranchCond.IsBranch() || !BranchUncond.IsBranch() {
@@ -68,5 +71,13 @@ func TestHasDest(t *testing.T) {
 	zero := Inst{Op: IntALU, Dest: ZeroReg}
 	if zero.HasDest() {
 		t.Error("writes to r31 are discarded")
+	}
+}
+
+// TestInstFitsACacheLine: every pipeline structure holds Inst values,
+// and the padding of a bool between two words would add a ninth word.
+func TestInstFitsACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Inst{}); size > 64 {
+		t.Errorf("an Inst takes %d bytes, want at most 64", size)
 	}
 }
