@@ -199,6 +199,8 @@ type System struct {
 	// committed instruction.
 	pendingResultCorruption uint64
 
+	// view holds the checker's window when it wraps around the RVQ's
+	// end; otherwise the checker reads the RVQ in place.
 	view     []inorder.Entry
 	outcomes []inorder.CheckOutcome
 }
@@ -352,8 +354,9 @@ func (s *System) Step() {
 		if budget == 0 {
 			s.st.LeadStallCycles++
 		}
-		for _, in := range s.lead.Step(budget) {
-			s.push(in)
+		committed := s.lead.Step(budget)
+		for i := range committed {
+			s.push(&committed[i])
 		}
 	}
 
@@ -413,10 +416,22 @@ func (s *System) commitBudget() int {
 	return b
 }
 
+// rvqIndex returns the RVQ slot i entries past the head, for
+// 0 ≤ i ≤ RVQSize.
+func (s *System) rvqIndex(i int) int {
+	if i += s.rvqHead; i >= len(s.rvq) {
+		i -= len(s.rvq)
+	}
+	return i
+}
+
 // push enqueues a committed instruction, applying any pending
-// leading-side corruption.
-func (s *System) push(in isa.Inst) {
-	e := inorder.MakeEntry(in)
+// leading-side corruption. It fills the RVQ slot in place, as
+// inorder.MakeEntry would.
+func (s *System) push(in *isa.Inst) {
+	e := &s.rvq[s.rvqIndex(s.rvqCount)]
+	e.Inst = *in
+	e.LeadValue, e.LeadSrc1, e.LeadSrc2 = in.Value, in.Src1Val, in.Src2Val
 
 	// Propagate existing leading-side corruption into operand copies.
 	if len(s.corruptReg) > 0 {
@@ -437,7 +452,6 @@ func (s *System) push(in isa.Inst) {
 		s.pendingResultCorruption = 0
 	}
 
-	s.rvq[(s.rvqHead+s.rvqCount)%s.cfg.RVQSize] = e
 	s.rvqCount++
 	s.st.Traffic.RegisterValues++
 	switch in.Op {
@@ -462,18 +476,18 @@ func (s *System) checkerCycle() {
 		s.checker.Step(nil, s.outcomes)
 		return
 	}
-	n := s.rvqCount
-	if n > len(s.view) {
-		n = len(s.view)
+	n := min(s.rvqCount, len(s.view))
+	view := s.rvq[s.rvqHead:]
+	if len(view) < n {
+		k := copy(s.view, view)
+		copy(s.view[k:n], s.rvq)
+		view = s.view
 	}
-	for i := 0; i < n; i++ {
-		s.view[i] = s.rvq[(s.rvqHead+i)%s.cfg.RVQSize]
-	}
-	issued := s.checker.Step(s.view[:n], s.outcomes)
+	view = view[:n]
+	issued := s.checker.Step(view, s.outcomes)
 	detected := false
 	for i := 0; i < issued; i++ {
-		e := &s.view[i]
-		switch e.Inst.Op {
+		switch view[i].Inst.Op {
 		case isa.Load:
 			s.lvqCount--
 		case isa.Store:
@@ -489,7 +503,7 @@ func (s *System) checkerCycle() {
 			s.onErrorDetected(s.outcomes[i] == inorder.CheckUnrecoverable)
 		}
 	}
-	s.rvqHead = (s.rvqHead + issued) % s.cfg.RVQSize
+	s.rvqHead = s.rvqIndex(issued)
 	s.rvqCount -= issued
 }
 
@@ -513,7 +527,7 @@ func (s *System) onErrorDetected(unrecoverable bool) {
 	// (the recovery penalty charges the replay time).
 	clear(s.corruptReg)
 	for i := 0; i < s.rvqCount; i++ {
-		idx := (s.rvqHead + i) % s.cfg.RVQSize
+		idx := s.rvqIndex(i)
 		s.rvq[idx] = inorder.MakeEntry(s.rvq[idx].Inst)
 	}
 }

@@ -164,11 +164,13 @@ const (
 	stateDone           // complete, awaiting commit
 )
 
+// robEntry is the scheduling state of one ring slot; the instruction
+// itself is the slot's element of Core.insts. Fetch sets mispred, and
+// dispatch the rest.
 type robEntry struct {
-	inst    isa.Inst
+	op      isa.OpClass
 	state   uint8
 	mispred bool
-	fp      bool
 	// pending counts the entry's producers that have not issued yet.
 	pending uint8
 	// consumers heads the list of wakeup edges from this entry to the
@@ -201,18 +203,25 @@ type Core struct {
 	cycle uint64
 	stats Stats
 
+	// insts is one ring of IFQSize+ROBSize+CommitWidth slots that holds
+	// every in-flight instruction from fetch to commit, and rob is the
+	// scheduling state of the same slots. From robHead on, the ring
+	// holds robCount ROB entries in program order, then ifqCount IFQ
+	// entries, which end before ifqTail; ifqHead, where the ROB ends,
+	// is the IFQ's oldest slot. Fetch writes an instruction into its
+	// slot once, dispatch moves ifqHead past it, and commit moves
+	// robHead past it and returns the committed run as a view of insts.
+	// The CommitWidth slots beyond the ROB and IFQ hold that view until
+	// the next Step's commit frees their slots for fetch (see commit).
+	insts    []isa.Inst
 	rob      []robEntry
 	robHead  int
-	robTail  int
+	ifqHead  int
+	ifqTail  int
 	robCount int
+	ifqCount int
 
-	ifq        []isa.Inst
-	ifqMispred []bool
-	ifqHead    int
-	ifqTail    int
-	ifqCount   int
-
-	// lastWriter maps a register to the ROB index of its in-flight
+	// lastWriter maps a register to the ring slot of its in-flight
 	// producer, or -1 when the architectural value is ready.
 	lastWriter [isa.NumRegs]int
 
@@ -222,15 +231,15 @@ type Core struct {
 	// iqInt/iqFP/lsq track occupancy of the scheduling structures.
 	iqInt, iqFP, lsq int
 
-	// edgeNext links the wakeup edges, two per ROB slot: edge 2i+k says
+	// edgeNext links the wakeup edges, two per ring slot: edge 2i+k says
 	// that source k of the entry in slot i waits for the producer whose
 	// consumers list holds it, and edgeNext[2i+k] is the next edge in
 	// that list (-1 ends it).
 	edgeNext []int32
-	// ready has one bit per ROB slot whose unissued entry has no pending
-	// producer; select walks it oldest first.
+	// ready has one bit per ring slot whose unissued ROB entry has no
+	// pending producer; select walks it oldest first.
 	ready []uint64
-	// inflight holds the ROB indices of issued entries awaiting
+	// inflight holds the ring slots of issued entries awaiting
 	// writeback; nextDone is the earliest completion cycle among them.
 	inflight []int
 	nextDone uint64
@@ -245,6 +254,7 @@ type Core struct {
 	fetchBudget uint64
 	fetchedTot  uint64
 
+	// committedBuf holds a committed run that wraps around the ring.
 	committedBuf []isa.Inst
 }
 
@@ -260,7 +270,7 @@ func New(cfg Config, src InstSource, l2 *nuca.Cache) (*Core, error) {
 }
 
 // Reset returns c to the state New(cfg, src, l2) builds — a cold core
-// at cycle 0 — reusing its predictor, BTB, L1 caches, TLBs and ROB-sized
+// at cycle 0 — reusing its predictor, BTB, L1 caches, TLBs and ring
 // arrays instead of allocating them. On an invalid cfg it returns the
 // error and leaves c unchanged.
 func (c *Core) Reset(cfg Config, src InstSource, l2 *nuca.Cache) error {
@@ -268,6 +278,7 @@ func (c *Core) Reset(cfg Config, src InstSource, l2 *nuca.Cache) error {
 		return err
 	}
 	old := *c
+	ring := cfg.IFQSize + cfg.ROBSize + cfg.CommitWidth
 	*c = Core{
 		cfg:          cfg,
 		src:          src,
@@ -278,12 +289,11 @@ func (c *Core) Reset(cfg Config, src InstSource, l2 *nuca.Cache) error {
 		itlb:         old.itlb,
 		dtlb:         old.dtlb,
 		l2:           l2,
-		rob:          zeroed(old.rob, cfg.ROBSize),
-		edgeNext:     zeroed(old.edgeNext, 2*cfg.ROBSize),
-		ready:        zeroed(old.ready, (cfg.ROBSize+63)/64),
+		insts:        zeroed(old.insts, ring),
+		rob:          zeroed(old.rob, ring),
+		edgeNext:     zeroed(old.edgeNext, 2*ring),
+		ready:        zeroed(old.ready, (ring+63)/64),
 		inflight:     zeroed(old.inflight, cfg.ROBSize)[:0],
-		ifq:          zeroed(old.ifq, cfg.IFQSize),
-		ifqMispred:   zeroed(old.ifqMispred, cfg.IFQSize),
 		fetchBudget:  ^uint64(0),
 		committedBuf: zeroed(old.committedBuf, cfg.CommitWidth)[:0],
 	}
@@ -358,8 +368,9 @@ func (c *Core) Drained() bool {
 // Step advances the core one cycle, committing at most commitBudget
 // instructions (the RMT coupler uses this to model leading-thread stalls
 // when the RVQ or StB is full). The returned slice is valid until the
-// next call. A cycle before wake, when no stage can act, only advances
-// the clock.
+// next call, and the caller must not write through it: it is usually a
+// view of the core's instruction ring. A cycle before wake, when no
+// stage can act, only advances the clock.
 func (c *Core) Step(commitBudget int) []isa.Inst {
 	c.cycle++
 	c.stats.Activity.Cycles++
@@ -396,7 +407,7 @@ func (c *Core) Quiet() bool { return c.cycle+1 < c.wake }
 //     clears wake.
 func (c *Core) nextWake() uint64 {
 	if c.robCount > 0 && c.rob[c.robHead].state == stateDone ||
-		c.ifqCount > 0 && c.fits(c.ifq[c.ifqHead]) {
+		c.ifqCount > 0 && c.fits(c.insts[c.ifqHead].Op) {
 		return c.cycle + 1
 	}
 	w := min(c.nextDone, c.issueAt)
@@ -427,7 +438,9 @@ func (c *Core) fetch() {
 		if c.ifqCount >= c.cfg.IFQSize || c.fetchedTot >= c.fetchBudget {
 			return
 		}
-		in := c.src.Next()
+		slot := c.ifqTail
+		in := &c.insts[slot]
+		*in = c.src.Next()
 		c.fetchedTot++
 		c.stats.Activity.Fetched++
 
@@ -462,7 +475,7 @@ func (c *Core) fetch() {
 			if in.Taken {
 				c.btb.Update(in.PC, in.Target)
 			}
-			c.pushIFQ(in, mispred)
+			c.pushIFQ(slot, mispred)
 			if mispred {
 				c.stats.Mispredicts++
 				// Fetch stalls until the branch resolves; the resolve
@@ -477,31 +490,41 @@ func (c *Core) fetch() {
 			continue
 		}
 		if in.Op == isa.BranchUncond {
-			c.pushIFQ(in, false)
+			c.pushIFQ(slot, false)
 			return
 		}
-		c.pushIFQ(in, false)
+		c.pushIFQ(slot, false)
 	}
 }
 
-func (c *Core) pushIFQ(in isa.Inst, mispred bool) {
-	c.ifq[c.ifqTail] = in
-	c.ifqMispred[c.ifqTail] = mispred
-	c.ifqTail = (c.ifqTail + 1) % c.cfg.IFQSize
+// pushIFQ appends the instruction fetch has just written into slot to
+// the IFQ.
+func (c *Core) pushIFQ(slot int, mispred bool) {
+	c.rob[slot].mispred = mispred
+	c.ifqTail = c.wrap(slot + 1)
 	c.ifqCount++
 }
 
+// wrap maps i, at most one lap past the ring's end, back onto the ring.
+func (c *Core) wrap(i int) int {
+	if i >= len(c.insts) {
+		i -= len(c.insts)
+	}
+	return i
+}
+
+// dispatch moves IFQ entries into the ROB in place: the IFQ's oldest
+// slot becomes the ROB's youngest.
 func (c *Core) dispatch() {
-	for n := 0; n < c.cfg.DispatchWidth && c.ifqCount > 0 && c.fits(c.ifq[c.ifqHead]); n++ {
-		in := c.ifq[c.ifqHead]
-		mispred := c.ifqMispred[c.ifqHead]
+	for n := 0; n < c.cfg.DispatchWidth && c.ifqCount > 0 && c.fits(c.insts[c.ifqHead].Op); n++ {
+		slot := c.ifqHead
+		in := &c.insts[slot]
 		fp := in.Op.IsFP()
-		c.ifqHead = (c.ifqHead + 1) % c.cfg.IFQSize
+		c.ifqHead = c.wrap(slot + 1)
 		c.ifqCount--
 
-		slot := c.robTail
 		e := &c.rob[slot]
-		*e = robEntry{inst: in, state: stateWaiting, mispred: mispred, fp: fp, consumers: -1}
+		*e = robEntry{op: in.Op, state: stateWaiting, mispred: e.mispred, consumers: -1}
 		if !in.Src1.IsZero() {
 			c.dependOn(slot, 0, c.lastWriter[in.Src1])
 		}
@@ -518,7 +541,6 @@ func (c *Core) dispatch() {
 			c.markReady(slot)
 			c.issueAt = min(c.issueAt, max(e.readyAt, c.cycle+1))
 		}
-		c.robTail = (c.robTail + 1) % c.cfg.ROBSize
 		c.robCount++
 
 		if in.Op.IsMem() {
@@ -534,20 +556,20 @@ func (c *Core) dispatch() {
 	}
 }
 
-// fits reports whether in has room in the ROB, the LSQ and its issue
-// queue.
-func (c *Core) fits(in isa.Inst) bool {
-	if c.robCount >= c.cfg.ROBSize || in.Op.IsMem() && c.lsq >= c.cfg.LSQSize {
+// fits reports whether an instruction of class op has room in the ROB,
+// the LSQ and its issue queue.
+func (c *Core) fits(op isa.OpClass) bool {
+	if c.robCount >= c.cfg.ROBSize || op.IsMem() && c.lsq >= c.cfg.LSQSize {
 		return false
 	}
-	if in.Op.IsFP() {
+	if op.IsFP() {
 		return c.iqFP < c.cfg.IQFP
 	}
 	return c.iqInt < c.cfg.IQInt
 }
 
 // dependOn makes source k of the entry in slot wait for the producer in
-// ROB slot p (-1: the register's architectural value is ready). A
+// ring slot p (-1: the register's architectural value is ready). A
 // producer that has issued already only raises the entry's readyAt;
 // otherwise the entry joins the producer's consumers list, and issue
 // wakes it.
@@ -602,10 +624,10 @@ func (c *Core) writeback() {
 			continue
 		}
 		e.state = stateDone
-		if e.inst.Op.IsMem() {
+		if e.op.IsMem() {
 			c.lsq--
 		}
-		if e.fp {
+		if e.op.IsFP() {
 			c.iqFP--
 		} else {
 			c.iqInt--
@@ -617,8 +639,8 @@ func (c *Core) writeback() {
 
 // issue selects, oldest first, ready entries whose operands are
 // available and whose functional unit is free, up to the issue width.
-// It walks the ready bitmap from the ROB head, wrapping at the ROB size,
-// which is program order.
+// It walks the ready bitmap from the ROB head, wrapping at the ring
+// size, which is program order: only ROB entries have ready bits.
 //
 // It does nothing before c.issueAt. A walk leaves issueAt at the
 // earliest readyAt among the entries it could not issue, or at the next
@@ -662,7 +684,7 @@ func (c *Core) issue() {
 			}
 			// Functional unit availability.
 			free := true
-			switch e.inst.Op {
+			switch e.op {
 			case isa.IntALU, isa.BranchCond, isa.BranchUncond:
 				free, alu = take(alu)
 			case isa.IntMult:
@@ -680,14 +702,14 @@ func (c *Core) issue() {
 				next = c.cycle + 1
 				continue
 			}
-			lat := uint64(e.inst.Op.Latency())
-			if e.inst.Op == isa.Load {
-				lat += c.loadLatency(e.inst.Addr)
+			lat := uint64(e.op.Latency())
+			if e.op == isa.Load {
+				lat += c.loadLatency(c.insts[slot].Addr)
 				c.stats.Activity.IssuedMem++
-			} else if e.inst.Op == isa.Store {
+			} else if e.op == isa.Store {
 				// Stores complete at issue; the write drains at commit.
 				c.stats.Activity.IssuedMem++
-			} else if e.fp {
+			} else if e.op.IsFP() {
 				c.stats.Activity.IssuedFP++
 			} else {
 				c.stats.Activity.IssuedInt++
@@ -698,7 +720,7 @@ func (c *Core) issue() {
 			c.inflight = append(c.inflight, slot)
 			c.nextDone = min(c.nextDone, e.complete)
 			c.wakeConsumers(e)
-			if e.inst.HasDest() {
+			if c.insts[slot].HasDest() {
 				c.stats.Activity.RegWrites++
 			}
 			if e.mispred {
@@ -756,37 +778,45 @@ func (c *Core) noteL2(lat int, miss bool) {
 	}
 }
 
+// commit retires up to budget Done entries from the ROB head and
+// returns them as a view of the ring, or as a copy in committedBuf when
+// the run wraps around the ring's end. The view stays valid until the
+// next Step's commit: the ROB and IFQ never hold more than
+// ROBSize+IFQSize slots, so fetch, which writes only past them, cannot
+// reach the CommitWidth slots just freed before commit moves robHead on.
 func (c *Core) commit(budget int) []isa.Inst {
-	c.committedBuf = c.committedBuf[:0]
-	if budget > c.cfg.CommitWidth {
-		budget = c.cfg.CommitWidth
-	}
-	for n := 0; n < budget && c.robCount > 0; n++ {
-		e := &c.rob[c.robHead]
-		if e.state != stateDone {
+	budget = min(budget, c.cfg.CommitWidth)
+	start, n := c.robHead, 0
+	for ; n < budget && c.robCount > 0; n++ {
+		slot := c.robHead
+		if c.rob[slot].state != stateDone {
 			break
 		}
+		in := &c.insts[slot]
 		// Stores write the cache at commit (the leading core commits
 		// stores to the store buffer; the architectural write happens
 		// after checking, but the cache-timing effect is modeled here).
-		if e.inst.Op == isa.Store {
+		if in.Op == isa.Store {
 			c.stats.Activity.DCacheAccesses++
-			c.dtlb.Access(e.inst.Addr) // fill charged, commit not stalled
-			if hit, _ := c.l1d.Access(e.inst.Addr, true); !hit {
+			c.dtlb.Access(in.Addr) // fill charged, commit not stalled
+			if hit, _ := c.l1d.Access(in.Addr, true); !hit {
 				c.stats.L1DMisses++
-				lat, miss := c.l2.Access(e.inst.Addr, true)
+				lat, miss := c.l2.Access(in.Addr, true)
 				c.noteL2(lat, miss)
 			}
 		}
 		// Clear register mapping if this entry is still the last writer.
-		if e.inst.HasDest() && c.lastWriter[e.inst.Dest] == c.robHead {
-			c.lastWriter[e.inst.Dest] = -1
+		if in.HasDest() && c.lastWriter[in.Dest] == slot {
+			c.lastWriter[in.Dest] = -1
 		}
-		c.committedBuf = append(c.committedBuf, e.inst)
-		c.robHead = (c.robHead + 1) % c.cfg.ROBSize
+		c.robHead = c.wrap(slot + 1)
 		c.robCount--
-		c.stats.Instructions++
-		c.stats.Activity.Committed++
 	}
+	c.stats.Instructions += uint64(n)
+	c.stats.Activity.Committed += uint64(n)
+	if end := start + n; end <= len(c.insts) {
+		return c.insts[start:end:end]
+	}
+	c.committedBuf = append(append(c.committedBuf[:0], c.insts[start:]...), c.insts[:start+n-len(c.insts)]...)
 	return c.committedBuf
 }
