@@ -100,7 +100,16 @@ type trailer struct {
 	CRC     string `json:"crc"`
 }
 
-func crcHex(sum uint32) string { return fmt.Sprintf("%08x", sum) }
+func crcHex(sum uint32) string { return string(appendCRC(nil, sum)) }
+
+// appendCRC appends sum as eight lower-case hex digits.
+func appendCRC(b []byte, sum uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[sum>>uint(shift)&0xf])
+	}
+	return b
+}
 
 // PrevPath returns the rotation target for path — where Commit parks
 // the previous snapshot and where LoadLatest looks during rollback.
@@ -126,9 +135,18 @@ func (w *Writer) Append(v any) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: encode record: %w", err)
 	}
+	w.AppendEncoded(data)
+	return nil
+}
+
+// AppendEncoded adds data, which must be json.Marshal's encoding of the
+// record, as the next record, so a caller that keeps a record's bytes
+// between snapshots encodes it once. CommitTo writes data as it is: it
+// relies on json.Marshal's output being compact and HTML-escaped, which
+// marshalling it again as a json.RawMessage would leave unchanged.
+func (w *Writer) AppendEncoded(data []byte) {
 	w.records = append(w.records, data)
 	w.running = crc32.Update(w.running, crc32.IEEETable, data)
-	return nil
 }
 
 // Len returns the number of appended records.
@@ -166,24 +184,12 @@ func (w *Writer) CommitTo(fsys iofault.FS, path string) (err error) {
 		}
 	}()
 
-	write := func(v any) error {
-		line, merr := json.Marshal(v)
-		if merr != nil {
-			return merr
-		}
-		_, werr := tmp.Write(append(line, '\n'))
-		return werr
+	snapshot, err := w.encode()
+	if err != nil {
+		return err
 	}
-	if err = write(header{Magic: magic, Version: version, Kind: w.meta.Kind, Fingerprint: w.meta.Fingerprint}); err != nil {
-		return fmt.Errorf("ckpt: write header: %w", err)
-	}
-	for _, data := range w.records {
-		if err = write(record{CRC: crcHex(crc32.ChecksumIEEE(data)), Data: data}); err != nil {
-			return fmt.Errorf("ckpt: write record: %w", err)
-		}
-	}
-	if err = write(trailer{Magic: trailerMagic, Records: len(w.records), CRC: crcHex(w.running)}); err != nil {
-		return fmt.Errorf("ckpt: write trailer: %w", err)
+	if _, err = tmp.Write(snapshot); err != nil {
+		return fmt.Errorf("ckpt: write snapshot: %w", err)
 	}
 	if err = tmp.Sync(); err != nil {
 		return fmt.Errorf("ckpt: sync snapshot: %w", err)
@@ -211,6 +217,37 @@ func (w *Writer) CommitTo(fsys iofault.FS, path string) (err error) {
 		return fmt.Errorf("ckpt: sync snapshot directory: %w", err)
 	}
 	return nil
+}
+
+// encode returns the whole snapshot file: the header line, one line per
+// record and the trailer line. A record line is formatted directly, and
+// is byte for byte what json.Marshal(record{CRC, Data}) gives, because
+// every record's data is already json.Marshal output.
+func (w *Writer) encode() ([]byte, error) {
+	hdr, err := json.Marshal(header{Magic: magic, Version: version, Kind: w.meta.Kind, Fingerprint: w.meta.Fingerprint})
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: encode header: %w", err)
+	}
+	tr, err := json.Marshal(trailer{Magic: trailerMagic, Records: len(w.records), CRC: crcHex(w.running)})
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: encode trailer: %w", err)
+	}
+	const recOpen, recData, recClose = `{"crc":"`, `","data":`, "}\n"
+	size := len(hdr) + len(tr) + 2
+	for _, data := range w.records {
+		size += len(recOpen) + 8 + len(recData) + len(data) + len(recClose)
+	}
+	b := append(make([]byte, 0, size), hdr...)
+	b = append(b, '\n')
+	for _, data := range w.records {
+		b = append(b, recOpen...)
+		b = appendCRC(b, crc32.ChecksumIEEE(data))
+		b = append(b, recData...)
+		b = append(b, data...)
+		b = append(b, recClose...)
+	}
+	b = append(b, tr...)
+	return append(b, '\n'), nil
 }
 
 // Snapshot is a loaded, fully validated checkpoint.

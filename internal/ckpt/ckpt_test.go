@@ -1,7 +1,9 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -191,5 +193,82 @@ func TestCommitKeepsPreviousOnEverySuccession(t *testing.T) {
 	}
 	if c.N != 3 || p.N != 2 {
 		t.Errorf("generations: current %d, prev %d; want 3 and 2", c.N, p.N)
+	}
+}
+
+// spaced marshals itself with insignificant whitespace and HTML
+// characters, which json.Marshal compacts and escapes.
+type spaced struct{}
+
+func (spaced) MarshalJSON() ([]byte, error) {
+	return []byte(`{ "a" : [1, 2 ,3], "tag" : "<b>&</b>" }`), nil
+}
+
+// TestRecordLinesMatchMarshal: the snapshot is formatted by hand, and
+// every line must be what json.Marshal gives for it, including records
+// whose JSON holds HTML characters, non-ASCII text, line separators and
+// nested objects.
+func TestRecordLinesMatchMarshal(t *testing.T) {
+	recs := []any{
+		rec{ID: "<script>alert('x') && y</script>", N: -1},
+		rec{ID: "Grüße, 温度 85 °C, \u2028\u2029 and \x01", N: 1 << 40},
+		map[string]any{"outer": map[string]any{"inner": []any{1.5, "a&b", nil, true}, "z": map[string]int{"k": 1}}},
+		spaced{},
+		[]string{},
+	}
+	w := NewWriter(Meta{Kind: "kind <&>", Fingerprint: "fp \u00e9"})
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre, err := json.Marshal(rec{ID: "pre-encoded", N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.AppendEncoded(pre)
+
+	file, err := w.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(file), "\n")
+	if last := lines[len(lines)-1]; last != "" {
+		t.Fatalf("snapshot ends in an unterminated line %q", last)
+	}
+	lines = lines[:len(lines)-1]
+	if len(lines) != len(w.records)+2 {
+		t.Fatalf("%d lines for %d records", len(lines), len(w.records))
+	}
+	marshal := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	want := []string{marshal(header{Magic: magic, Version: version, Kind: w.meta.Kind, Fingerprint: w.meta.Fingerprint})}
+	for _, data := range w.records {
+		want = append(want, marshal(record{CRC: crcHex(crc32.ChecksumIEEE(data)), Data: data}))
+	}
+	want = append(want, marshal(trailer{Magic: trailerMagic, Records: len(w.records), CRC: crcHex(w.running)}))
+	for i := range want {
+		if lines[i] != want[i] {
+			t.Errorf("line %d:\n got %q\nwant %q", i, lines[i], want[i])
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	if err := w.Commit(path); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Load(path, w.meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got rec
+	if err := snap.Decode(0, &got); err != nil || got != recs[0] {
+		t.Errorf("record 0 = %+v (%v), want %+v", got, err, recs[0])
 	}
 }

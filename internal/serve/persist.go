@@ -41,9 +41,10 @@ type storedJob struct {
 	ContentType string         `json:"content_type"`
 }
 
-// persistAll commits the job store and every tier's window cache. It
-// is a no-op without a StatePath. Jobs are snapshotted under the lock,
-// but all I/O happens after it is released.
+// persistAll commits the job store and every tier's window cache that
+// changed since its last save. It is a no-op without a StatePath. The
+// jobs are listed under the lock, but every record is encoded (once per
+// job, see Job.storedRecord) and written after it is released.
 func (s *Server) persistAll() error {
 	if s.opts.StatePath == "" {
 		return nil
@@ -54,30 +55,22 @@ func (s *Server) persistAll() error {
 	}
 
 	s.mu.Lock()
-	recs := make([]storedJob, 0, len(s.jobs))
-	//lint:ignore maporder collection loop; the records are sorted by ID below before any order-dependent use
+	jobs := make([]*Job, 0, len(s.jobs))
+	//lint:ignore maporder collection loop; the jobs are sorted by ID below before any order-dependent use
 	for _, j := range s.jobs {
-		body, ct, done := j.resultBody()
-		if !done {
-			continue
-		}
-		recs = append(recs, storedJob{
-			ID:          j.ID,
-			Kind:        j.Kind,
-			Experiment:  j.Experiment,
-			Quality:     j.Quality,
-			Grid:        j.Grid,
-			Result:      string(body),
-			ContentType: ct,
-		})
+		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 
 	w := ckpt.NewWriter(ckpt.Meta{Kind: storeKind, Fingerprint: fp})
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
+	for _, j := range jobs {
+		rec, done, err := j.storedRecord()
+		if err != nil {
 			return err
+		}
+		if done {
+			w.AppendEncoded(rec)
 		}
 	}
 	if err := w.CommitTo(s.fsys, s.jobStorePath()); err != nil {
@@ -85,9 +78,19 @@ func (s *Server) persistAll() error {
 	}
 
 	for _, t := range s.tiers {
-		if _, err := s.sessions[t.Name].SaveCacheTo(s.fsys, s.cachePath(t.Name)); err != nil {
+		// Campaign jobs commit no windows, so most passes skip every
+		// tier. The count is read before the save: a window committed
+		// during it makes the next pass save again.
+		sess := s.sessions[t.Name]
+		st := sess.EngineStats()
+		windows := st.Computed - st.Errors
+		if saved, ok := s.cacheSaved[t.Name]; ok && saved == windows {
+			continue
+		}
+		if _, err := sess.SaveCacheTo(s.fsys, s.cachePath(t.Name)); err != nil {
 			return fmt.Errorf("serve: save %s window cache: %w", t.Name, err)
 		}
+		s.cacheSaved[t.Name] = windows
 	}
 	return nil
 }

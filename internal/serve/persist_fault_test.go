@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,4 +155,103 @@ func TestTransientPersistFaultsAbsorbedByRetry(t *testing.T) {
 		t.Fatalf("persistence = %s under transient faults, want ok", h.Persistence)
 	}
 	s.Drain()
+}
+
+// cacheWriteFS counts the snapshot commits a server starts for files
+// whose name begins with prefix, and fails them while failing is set.
+type cacheWriteFS struct {
+	iofault.FS
+	prefix  string
+	commits atomic.Int32
+	failing atomic.Bool
+}
+
+func (f *cacheWriteFS) CreateTemp(dir, pattern string) (iofault.File, error) {
+	if strings.HasPrefix(pattern, f.prefix) {
+		f.commits.Add(1)
+		if f.failing.Load() {
+			return nil, errors.New("injected window-cache write failure")
+		}
+	}
+	return f.FS.CreateTemp(dir, pattern)
+}
+
+// TestPersistSavesTierCacheOnlyWhenItChanged: every persist rewrites
+// the job store, but a tier's window cache only when its session has
+// committed a window since the last save that succeeded. A failed save
+// is retried by the next persist, campaign jobs commit no windows, an
+// experiment job does, and a restored server serves every job byte for
+// byte.
+func TestPersistSavesTierCacheOnlyWhenItChanged(t *testing.T) {
+	mem := iofault.NewMemFS()
+	fsys := &cacheWriteFS{FS: mem, prefix: "cache-fast.ckpt"}
+	fsys.failing.Store(true)
+	opts := degradedOptions(fsys, nil)
+	opts.PersistRetry = backoff.Policy{Attempts: 1}
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits := func(want int32, when string) {
+		t.Helper()
+		if got := fsys.commits.Load(); got != want {
+			t.Fatalf("%s: %d window-cache saves, want %d", when, got, want)
+		}
+	}
+
+	// The first persist saves the cache, and that save fails.
+	jobs := []*Job{submitTinyCampaign(t, s, 1)}
+	waitJobDone(t, jobs[0])
+	waitPersist(t, s, true)
+	commits(1, "after a failed save")
+
+	// The next persist retries it.
+	fsys.failing.Store(false)
+	jobs = append(jobs, submitTinyCampaign(t, s, 2))
+	waitJobDone(t, jobs[1])
+	waitPersist(t, s, false)
+	commits(2, "after the retried save")
+
+	// Campaign jobs commit no windows: their persists skip the cache.
+	for seed := int64(3); seed <= 6; seed++ {
+		j := submitTinyCampaign(t, s, seed)
+		waitJobDone(t, j)
+		jobs = append(jobs, j)
+	}
+	res, serr := s.Submit(Submission{Kind: KindExperiment, Experiment: "table2"}, "client")
+	if serr != nil {
+		t.Fatalf("submit: %v", serr)
+	}
+	exp, _ := s.JobByID(res.Job.ID)
+	if st := waitJobDone(t, exp); st.State != StateDone {
+		t.Fatalf("experiment job ended %s", st.State)
+	}
+	jobs = append(jobs, exp)
+	s.Drain()
+	commits(3, "after campaign jobs, one experiment job and the drain")
+
+	s2, err := New(Options{
+		Tiers:     []Tier{{Name: "fast", Quality: tinyQuality()}},
+		StatePath: "/state",
+		FS:        mem,
+		Restore:   true,
+	})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer s2.Drain()
+	for _, j := range jobs {
+		body, ct, _ := j.Result()
+		r, ok := s2.JobByID(j.ID)
+		if !ok {
+			t.Fatalf("restored server lost job %s", j.ID)
+		}
+		got, gotCT, done := r.Result()
+		if !done || !bytes.Equal(got, body) || gotCT != ct {
+			t.Errorf("job %s: restored result (%s, %d bytes, done %v) differs from the original (%s, %d bytes)", j.ID, gotCT, len(got), done, ct, len(body))
+		}
+	}
+	if sess, _ := s2.Session("fast"); sess.EngineStats().Preloaded == 0 {
+		t.Error("the experiment job's windows were not restored")
+	}
 }

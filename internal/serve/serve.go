@@ -207,6 +207,12 @@ type Server struct {
 	wg        sync.WaitGroup
 	persistWG sync.WaitGroup
 
+	// cacheSaved maps a tier to its session's count of committed
+	// windows at the tier's last successful cache save (no entry: never
+	// saved). Only persistAll touches it, and it runs on the persister
+	// goroutine or, after that goroutine has exited, in Drain.
+	cacheSaved map[string]int
+
 	mu sync.Mutex
 	// r3dlint:guardedby mu
 	jobs map[string]*Job
@@ -265,16 +271,17 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{
-		opts:      opts,
-		clock:     opts.Clock.withDefaults(),
-		fsys:      opts.FS,
-		tiers:     opts.Tiers,
-		sessions:  make(map[string]*experiment.Session, len(opts.Tiers)),
-		limiter:   newLimiter(opts.RatePerSec, opts.Burst),
-		dispatch:  make(chan string, opts.QueueBound),
-		persistCh: make(chan struct{}, 1),
-		drainCh:   make(chan struct{}),
-		jobs:      make(map[string]*Job),
+		opts:       opts,
+		clock:      opts.Clock.withDefaults(),
+		fsys:       opts.FS,
+		tiers:      opts.Tiers,
+		sessions:   make(map[string]*experiment.Session, len(opts.Tiers)),
+		limiter:    newLimiter(opts.RatePerSec, opts.Burst),
+		dispatch:   make(chan string, opts.QueueBound),
+		persistCh:  make(chan struct{}, 1),
+		drainCh:    make(chan struct{}),
+		cacheSaved: make(map[string]int, len(opts.Tiers)),
+		jobs:       make(map[string]*Job),
 	}
 	for _, t := range opts.Tiers {
 		s.sessions[t.Name] = experiment.NewSessionWith(t.Quality, experiment.SessionOptions{
