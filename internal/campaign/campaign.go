@@ -630,14 +630,19 @@ func RunSupervised(sys *core.System, cfg fault.CampaignConfig, wd Watchdog) (out
 	}
 	lastProgress := sys.Progress()
 	lastAdvance := uint64(0)
+	// The watchdog probes on every cycle count that is a multiple of
+	// CheckEveryCycles; camp.Cycles() starts at 0 and each Step adds one,
+	// so a countdown finds them without a division per cycle.
+	probeIn := wd.CheckEveryCycles
 	for !camp.Done() {
 		if camp.BudgetExhausted() {
 			return hung(ReasonCycleBudget)
 		}
 		camp.Step()
-		if camp.Cycles()%wd.CheckEveryCycles != 0 {
+		if probeIn--; probeIn > 0 {
 			continue
 		}
+		probeIn = wd.CheckEveryCycles
 		if p := sys.Progress(); p > lastProgress {
 			lastProgress, lastAdvance = p, camp.Cycles()
 		} else if camp.Cycles()-lastAdvance >= wd.NoProgressCycles {
