@@ -82,7 +82,7 @@ bench-thermal:
 # a cold state, the coarse-grid preconditioner, then the fine solve
 # (one op = one solve).
 bench-layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|TapeReplay|WindowSetup|LeadingCore|CoupledCore|ReliableSystem)$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|TapeReplay|WindowSetup|LeadingCore|CoupledCore|Checker|ReliableSystem)$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench '^BenchmarkSolvePreconditioned$$' -benchmem -count 5 ./internal/thermal/
 
 fmt:

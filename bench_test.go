@@ -11,6 +11,7 @@ import (
 
 	"r3d/internal/core"
 	"r3d/internal/experiment"
+	"r3d/internal/inorder"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
 	"r3d/internal/trace"
@@ -228,6 +229,50 @@ func BenchmarkCoupledCore(b *testing.B) {
 				for lead.Committed() < target {
 					sys.Step()
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkChecker measures the trailing checker alone (ns per checked
+// instruction) over the stream the leading core commits, captured as the
+// RVQ entries the coupler would queue: 65,536 instructions per profile,
+// checked from the start by a fresh checker whenever they run out. The
+// checker issues a window of up to its width per Step, as the coupler
+// hands it, so BenchmarkCoupledCore minus BenchmarkLeadingCore minus
+// this is the cost of the coupling itself.
+func BenchmarkChecker(b *testing.B) {
+	for _, name := range []string{"gzip", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			bench, err := trace.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lead, err := ooo.New(ooo.Default(), trace.MustGenerator(bench.Profile, 1), nuca.New(nuca.Config2DA(nuca.DistributedSets)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			const n = 1 << 16
+			entries := make([]inorder.Entry, 0, n)
+			for len(entries) < n {
+				for _, in := range lead.Step(ooo.Default().CommitWidth) {
+					entries = append(entries, inorder.MakeEntry(in))
+				}
+			}
+			entries = entries[:n]
+			cfg := inorder.Default()
+			outcomes := make([]inorder.CheckOutcome, cfg.Width)
+			var ck *inorder.Checker
+			pos := len(entries)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				if pos == len(entries) {
+					ck, pos = inorder.New(cfg), 0
+				}
+				k := ck.Step(entries[pos:min(pos+cfg.Width, len(entries))], outcomes)
+				pos += k
+				i += k
 			}
 		})
 	}
