@@ -157,6 +157,40 @@ func runSend() {
 	}
 }
 
+// A call whose callee closes the channel closes it for the rest of the
+// caller's path; a call whose callee does not leaves the state as it
+// was.
+func TestChanOwnSendAfterCallThatCloses(t *testing.T) {
+	src := `package fixture
+
+// r3dlint:closer drained batches are retired here
+func sink(ch chan int) {
+	close(ch)
+}
+
+func keep(ch chan int) {}
+
+func sendAfterSink(ok bool) {
+	ch := make(chan int, 1)
+	if ok {
+		sink(ch)
+	}
+	ch <- 1
+}
+
+func sendAfterKeep() {
+	ch := make(chan int, 1)
+	keep(ch)
+	ch <- 1
+}
+`
+	got := findings(t, ChanOwn, modelPath, src)
+	wantChecks(t, got, "chanown")
+	if want := "send on ch after close at fixture.go:13"; got[0].Message != want {
+		t.Errorf("message %q, want %q", got[0].Message, want)
+	}
+}
+
 func TestChanOwnNilChannels(t *testing.T) {
 	src := `package fixture
 
@@ -222,4 +256,26 @@ func sneak(ch chan int) {
 `
 	got := findings(t, ChanOwn, modelPath, src)
 	wantChecks(t, got)
+}
+
+// TestSortFindingsBreaksTiesByMessage: the second close in Twice gets
+// two chanown findings at one position; they print in one order
+// whichever order they were reported in.
+func TestSortFindingsBreaksTiesByMessage(t *testing.T) {
+	got := findings(t, ChanOwn, modelPath, `package fixture
+
+func Twice(ch chan int) { close(ch); close(ch) }
+`)
+	wantChecks(t, got, "chanown", "chanown", "chanown")
+	pair := got[1:]
+	if pair[0].Pos != pair[1].Pos {
+		t.Fatalf("want two findings at the second close, got %v", got)
+	}
+	forward := []Finding{pair[0], pair[1]}
+	backward := []Finding{pair[1], pair[0]}
+	sortFindings(forward)
+	sortFindings(backward)
+	if forward[0] != backward[0] || forward[1] != backward[1] {
+		t.Errorf("order depends on report order:\n%v\n%v", forward, backward)
+	}
 }

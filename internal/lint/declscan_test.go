@@ -1,16 +1,17 @@
 package lint
 
 import (
+	"strings"
 	"testing"
 )
 
-// nodeByName finds a graph node by function name (test fixtures keep
-// names unique across the fixture module).
-func nodeByName(t *testing.T, cg *CallGraph, name string) *CallNode {
+// nodeByName finds a declaration's fact-base node by function name (test
+// fixtures keep names unique across the fixture module).
+func nodeByName(t *testing.T, fb *factBase, name string) *fnNode {
 	t.Helper()
-	var found *CallNode
-	for _, n := range cg.SortedNodes() {
-		if n.Fn.Name() == name {
+	var found *fnNode
+	for _, n := range fb.nodes {
+		if n.fn != nil && n.fn.Name() == name {
 			if found != nil {
 				t.Fatalf("two nodes named %s", name)
 			}
@@ -23,10 +24,10 @@ func nodeByName(t *testing.T, cg *CallGraph, name string) *CallNode {
 	return found
 }
 
-// refTo reports whether the node references a function of the given
-// name, and whether that reference is a call.
-func refTo(n *CallNode, name string) (found, call bool) {
-	for _, r := range n.Refs {
+// refTo reports whether the declaration references a function of the
+// given name, and whether that reference is a call.
+func refTo(n *fnNode, name string) (found, call bool) {
+	for _, r := range n.refs {
 		if r.Obj.Name() == name {
 			return true, r.Call
 		}
@@ -47,11 +48,11 @@ func Ping(n int) int {
 
 func Pong(n int) int { return Ping(n - 1) }
 `}})
-	cg := BuildCallGraph(pkgs)
-	if found, call := refTo(nodeByName(t, cg, "Ping"), "Pong"); !found || !call {
+	fb := buildFacts(pkgs)
+	if found, call := refTo(nodeByName(t, fb, "Ping"), "Pong"); !found || !call {
 		t.Errorf("Ping → Pong edge: found=%v call=%v, want call edge", found, call)
 	}
-	if found, call := refTo(nodeByName(t, cg, "Pong"), "Ping"); !found || !call {
+	if found, call := refTo(nodeByName(t, fb, "Pong"), "Ping"); !found || !call {
 		t.Errorf("Pong → Ping edge: found=%v call=%v, want call edge", found, call)
 	}
 }
@@ -65,13 +66,13 @@ type Box struct{ v int }
 func (b Box) Get() int { return b.v }
 
 // Take passes the method as a value: no call expression, but dispatch
-// may still happen later, so the graph must record the reference.
+// may still happen later, so the fact base must record the reference.
 func Take(b Box) func() int {
 	f := b.Get
 	return f
 }
 `}})
-	found, call := refTo(nodeByName(t, BuildCallGraph(pkgs), "Take"), "Get")
+	found, call := refTo(nodeByName(t, buildFacts(pkgs), "Take"), "Get")
 	if !found {
 		t.Fatal("method-value reference Take → Get not recorded")
 	}
@@ -90,7 +91,7 @@ func Outer() func() int {
 	return func() int { return helper() }
 }
 `}})
-	if found, _ := refTo(nodeByName(t, BuildCallGraph(pkgs), "Outer"), "helper"); !found {
+	if found, _ := refTo(nodeByName(t, buildFacts(pkgs), "Outer"), "helper"); !found {
 		t.Error("reference inside nested function literal not attributed to Outer")
 	}
 }
@@ -116,11 +117,11 @@ func Use(xs []int) []int { return Map(xs, double) }
 
 func Pin() func([]int, func(int) int) []int { return Map[int] }
 `}})
-	cg := BuildCallGraph(pkgs)
-	origin := nodeByName(t, cg, "Map").Fn
-	use := nodeByName(t, cg, "Use")
+	fb := buildFacts(pkgs)
+	origin := nodeByName(t, fb, "Map").fn
+	use := nodeByName(t, fb, "Use")
 	found := false
-	for _, r := range use.Refs {
+	for _, r := range use.refs {
 		if r.Obj.Name() != "Map" {
 			continue
 		}
@@ -135,7 +136,7 @@ func Pin() func([]int, func(int) int) []int { return Map[int] }
 	if !found {
 		t.Fatal("no Use → Map reference recorded")
 	}
-	if found, call := refTo(nodeByName(t, cg, "Pin"), "Map"); !found || call {
+	if found, call := refTo(nodeByName(t, fb, "Pin"), "Map"); !found || call {
 		t.Errorf("explicit instantiation value: found=%v call=%v, want a non-call reference", found, call)
 	}
 }
@@ -154,7 +155,7 @@ func Spawn(ch chan int) {
 	}()
 }
 `}})
-	if found, call := refTo(nodeByName(t, BuildCallGraph(pkgs), "Spawn"), "work"); !found || !call {
+	if found, call := refTo(nodeByName(t, buildFacts(pkgs), "Spawn"), "work"); !found || !call {
 		t.Errorf("go-stmt literal call Spawn → work: found=%v call=%v, want a call edge", found, call)
 	}
 }
@@ -175,11 +176,11 @@ func (B) Value() int { return 2 }
 
 func Sample(s Source) int { return s.Value() }
 `}})
-	n := nodeByName(t, BuildCallGraph(pkgs), "Sample")
+	n := nodeByName(t, buildFacts(pkgs), "Sample")
 	var iface *FuncRef
-	for i, r := range n.Refs {
+	for i, r := range n.refs {
 		if r.Iface {
-			iface = &n.Refs[i]
+			iface = &n.refs[i]
 		}
 	}
 	if iface == nil {
@@ -202,9 +203,44 @@ func seed() int { return 7 }
 
 var start = seed()
 `}})
-	cg := BuildCallGraph(pkgs)
-	refs := cg.InitRefs[pkgs[0]]
+	fb := buildFacts(pkgs)
+	refs := fb.initRefs[pkgs[0]]
 	if len(refs) != 1 || refs[0].Obj.Name() != "seed" || !refs[0].Call {
 		t.Errorf("InitRefs = %+v, want one call reference to seed", refs)
+	}
+}
+
+// A reference in dead code after a return still counts: the scan covers
+// the whole body, though the walker stops at the return.
+func TestCallGraphDeadCodeRefTaints(t *testing.T) {
+	pkgs := checkModuleFixture(t, []fixtureFile{
+		{"r3d/wrap", `
+package wrap
+
+import "time"
+
+func clock() int64 { return time.Now().UnixNano() }
+
+// Stamp reaches clock only from dead code.
+func Stamp() int64 {
+	return 0
+	return clock()
+}
+`},
+		{modelPath, `
+package fixture
+
+import "r3d/wrap"
+
+func Now() int64 { return wrap.Stamp() }
+`},
+	})
+	if found, call := refTo(nodeByName(t, buildFacts(pkgs), "Stamp"), "clock"); !found || !call {
+		t.Errorf("dead-code call Stamp → clock: found=%v call=%v, want a call reference", found, call)
+	}
+	fs := Run(pkgs, []*Analyzer{DetTaint})
+	wantChecks(t, fs, "dettaint")
+	if want := "Stamp → clock → time.Now (wall clock)"; !strings.Contains(fs[0].Message, want) {
+		t.Errorf("finding %q does not spell out the taint chain %q", fs[0].Message, want)
 	}
 }

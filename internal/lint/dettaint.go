@@ -1,21 +1,20 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/types"
 
 // DetTaint propagates nondeterminism taint through the whole-program
-// call graph. The v1 wallclock/globalrand/maporder checks are purely
-// local: they flag a time.Now, a global math/rand draw or a map
-// iteration at the line it appears on, so a source laundered through
-// one wrapper function — `func stamp() int64 { return clock() }` with
-// `clock` calling time.Now — sails straight into model code unseen.
-// DetTaint closes that hole: a function is tainted if it (or anything
-// it can reach through calls, method values, or conservative interface
-// dispatch) observes a nondeterminism source, and any reference from
-// model code (internal/ packages) to a tainted module function is a
-// finding, with the taint chain spelled out.
+// call graph: the function references the fact base records for every
+// declaration and package-level initializer. The v1
+// wallclock/globalrand/maporder checks are purely local: they flag a
+// time.Now, a global math/rand draw or a map iteration at the line it
+// appears on, so a source laundered through one wrapper function —
+// `func stamp() int64 { return clock() }` with `clock` calling
+// time.Now — sails straight into model code unseen. DetTaint closes
+// that hole: a function is tainted if it (or anything it can reach
+// through calls, method values, or conservative interface dispatch)
+// observes a nondeterminism source, and any reference from model code
+// (internal/ packages) to a tainted module function is a finding, with
+// the taint chain spelled out.
 //
 // A reasoned //lint:ignore wallclock / globalrand / maporder / dettaint
 // directive at the source stops propagation there: a justified boundary
@@ -65,15 +64,20 @@ type taint struct {
 }
 
 func runDetTaint(mp *ModulePass) {
-	cg := BuildCallGraph(mp.Pkgs)
-	nodes := cg.SortedNodes()
+	fb := mp.facts()
+	var decls []*fnNode // position order, like fb.nodes
+	for _, n := range fb.nodes {
+		if n.fn != nil {
+			decls = append(decls, n)
+		}
+	}
 
 	// Seed: functions that directly observe a source (unless a reasoned
 	// directive covers the source line — for the dettaint check itself
 	// or for the local check that owns the source).
 	tainted := map[*types.Func]taint{}
-	for _, n := range nodes {
-		for _, ref := range n.Refs {
+	for _, n := range decls {
+		for _, ref := range n.refs {
 			desc := sourceDesc(ref.Obj)
 			if desc == "" {
 				continue
@@ -81,15 +85,15 @@ func runDetTaint(mp *ModulePass) {
 			if mp.SuppressedAt(ref.Pos, "dettaint") || mp.SuppressedAt(ref.Pos, sourceCheck(ref.Obj)) {
 				continue
 			}
-			if _, ok := tainted[n.Fn]; !ok {
-				tainted[n.Fn] = taint{chain: n.Fn.Name() + " → " + desc}
+			if _, ok := tainted[n.fn]; !ok {
+				tainted[n.fn] = taint{chain: n.name + " → " + desc}
 			}
 		}
-		if _, ok := tainted[n.Fn]; ok {
+		if _, ok := tainted[n.fn]; ok {
 			continue
 		}
-		if _, ok := unsanctionedMapRange(mp, n.Pkg, n.Decl.Body); ok {
-			tainted[n.Fn] = taint{chain: n.Fn.Name() + " → map iteration (order randomized per run)"}
+		if unsanctionedMapRange(mp, n) {
+			tainted[n.fn] = taint{chain: n.name + " → map iteration (order randomized per run)"}
 		}
 	}
 
@@ -98,13 +102,13 @@ func runDetTaint(mp *ModulePass) {
 	// because a function already tainted is never revisited.
 	for changed := true; changed; {
 		changed = false
-		for _, n := range nodes {
-			if _, ok := tainted[n.Fn]; ok {
+		for _, n := range decls {
+			if _, ok := tainted[n.fn]; ok {
 				continue
 			}
-			for _, ref := range n.Refs {
+			for _, ref := range n.refs {
 				if t, ok := taintOf(tainted, ref); ok {
-					tainted[n.Fn] = taint{chain: n.Fn.Name() + " → " + t.chain}
+					tainted[n.fn] = taint{chain: n.name + " → " + t.chain}
 					changed = true
 					break
 				}
@@ -116,15 +120,14 @@ func runDetTaint(mp *ModulePass) {
 	// function, and any source captured as a bare function value (a
 	// direct source *call* in model code is the local checks' finding,
 	// not repeated here).
-	for _, n := range nodes {
-		if !inModelCode(n.Pkg) {
-			continue
+	for _, n := range decls {
+		if inModelCode(n.pkg) {
+			reportTaintedRefs(mp, n.refs, tainted)
 		}
-		reportTaintedRefs(mp, n.Refs, tainted)
 	}
 	for _, pkg := range mp.Pkgs {
 		if inModelCode(pkg) {
-			reportTaintedRefs(mp, cg.InitRefs[pkg], tainted)
+			reportTaintedRefs(mp, fb.initRefs[pkg], tainted)
 		}
 	}
 }
@@ -171,32 +174,15 @@ func reportTaintedRefs(mp *ModulePass, refs []FuncRef, tainted map[*types.Func]t
 	}
 }
 
-// unsanctionedMapRange finds a map iteration in body that is neither
-// the sanctioned key-collection loop nor covered by a reasoned
-// maporder/dettaint directive; such an iteration makes the enclosing
-// function's behaviour order-dependent and therefore a taint seed.
-func unsanctionedMapRange(mp *ModulePass, pkg *Package, body *ast.BlockStmt) (ast.Node, bool) {
-	var hit ast.Node
-	ast.Inspect(body, func(node ast.Node) bool {
-		if hit != nil {
-			return false
-		}
-		rs, ok := node.(*ast.RangeStmt)
-		if !ok {
+// unsanctionedMapRange reports whether the declaration n iterates a map
+// other than in the sanctioned key-collection loop, without a reasoned
+// maporder/dettaint directive; such an iteration makes the function's
+// behaviour order-dependent and therefore a taint seed.
+func unsanctionedMapRange(mp *ModulePass, n *fnNode) bool {
+	for _, pos := range n.mapRanges {
+		if !mp.SuppressedAt(pos, MapOrder.Name) && !mp.SuppressedAt(pos, "dettaint") {
 			return true
 		}
-		tv, ok := pkg.Info.Types[rs.X]
-		if !ok || tv.Type == nil {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap || isKeyCollectionLoop(rs) {
-			return true
-		}
-		if mp.SuppressedAt(rs.Pos(), MapOrder.Name) || mp.SuppressedAt(rs.Pos(), "dettaint") {
-			return true
-		}
-		hit = rs
-		return false
-	})
-	return hit, hit != nil
+	}
+	return false
 }

@@ -5,24 +5,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
 	"r3d/internal/detmap"
 )
 
-// This file is the fact base of the six concurrency analyzers: the lock
-// suite (mutexguard, lockorder, blockhold) and the goroutine-lifecycle
-// suite (goleak, chanown, stopflow). One annotation pass collects the
-// contracts, and one walker (flowwalk.go) visits every function body
-// once, recording in a single traversal the lock facts — guarded-field
-// accesses, lock acquisitions, blocking operations and call sites, each
-// with the flow-sensitive locks-held set at that program point — and
-// the goroutine facts: loops with their blocking operations and
-// stop-channel select coverage, `go` spawns with WaitGroup-join proofs,
-// and the stop signals passed to each call. flowprop.go adds the
-// interprocedural layer over the call sites. The base is built once per
-// run, by the first analyzer that asks for it (ModulePass.facts).
+// This file is the fact base of the whole-program analyzers: dettaint,
+// the lock suite (mutexguard, lockorder, blockhold) and the
+// goroutine-lifecycle suite (goleak, chanown, stopflow). One annotation
+// pass collects the contracts. Then each declaration is visited once:
+// a scan of its whole body (declscan.go) records the facts that hold
+// wherever they sit — function references, map iterations, channel
+// allocations and the sends, closes and forwards of parameters — and
+// one walker (flowwalk.go) records the flow-sensitive ones along the
+// live paths: the lock facts — guarded-field accesses, lock
+// acquisitions, blocking operations and call sites, each with the
+// locks-held set at that program point — the goroutine facts — loops
+// with their blocking operations and stop-channel select coverage, `go`
+// spawns with WaitGroup-join proofs, and the stop signals passed to
+// each call — and the channel operations with chanown's channel state.
+// flowprop.go adds the interprocedural lock layer over the call sites.
+// The base is built once per run, by the first analyzer that asks for
+// it (ModulePass.facts).
 //
 // Annotation grammar (ordinary comments, distinct from //lint:ignore
 // suppressions):
@@ -160,15 +166,83 @@ func heldEqual(a, b heldSet) bool {
 	return true
 }
 
-// replaceHeld overwrites dst's contents with src, in place.
-func replaceHeld(dst, src heldSet) {
-	for _, k := range sortedHeld(dst) {
-		if _, ok := src[k]; !ok {
-			delete(dst, k)
+// flowState is the walker's state at a program point: the locks held,
+// and chanown's channel state — where each channel may have been closed
+// on some path here, and which locals must still be nil. The walker
+// mutates one state in place along straight-line code and clones it at
+// branch points. The channel maps stay nil until a channel needs them.
+type flowState struct {
+	held   heldSet
+	closed map[string]*closedAt
+	nilch  map[string]bool
+}
+
+func newFlowState() *flowState { return &flowState{held: heldSet{}} }
+
+func (st *flowState) clone() *flowState {
+	return &flowState{held: st.held.clone(), closed: maps.Clone(st.closed), nilch: maps.Clone(st.nilch)}
+}
+
+// setClosed records that the channel key may be closed, as at says.
+func (st *flowState) setClosed(key string, at *closedAt) {
+	if st.closed == nil {
+		st.closed = map[string]*closedAt{}
+	}
+	st.closed[key] = at
+}
+
+// setNil records that the channel key must be nil.
+func (st *flowState) setNil(key string) {
+	if st.nilch == nil {
+		st.nilch = map[string]bool{}
+	}
+	st.nilch[key] = true
+}
+
+// reassign records a new value stored into the channel key: it is open,
+// and nil when isNil.
+func (st *flowState) reassign(key string, isNil bool) {
+	delete(st.closed, key)
+	delete(st.nilch, key)
+	if isNil {
+		st.setNil(key)
+	}
+}
+
+// join merges into st the state of another path that reaches the same
+// point: a lock is held only if both paths hold it, at the weaker mode.
+func (st *flowState) join(o *flowState) {
+	st.held = intersectHeld(st.held, o.held)
+	st.joinChans(o)
+}
+
+// joinChans merges o's channel state into st: a channel may be closed
+// if either path may have closed it (the earlier close wins, so
+// messages are stable), and must be nil only if both say so.
+func (st *flowState) joinChans(o *flowState) {
+	for _, k := range detmap.SortedKeys(o.closed) {
+		at := o.closed[k]
+		if cur, ok := st.closed[k]; ok && cur != at {
+			at = &closedAt{a: cur, b: at}
+		}
+		st.setClosed(k, at)
+	}
+	for _, k := range detmap.SortedKeys(st.nilch) {
+		if !o.nilch[k] {
+			delete(st.nilch, k)
 		}
 	}
-	for _, k := range sortedHeld(src) {
-		dst[k] = src[k]
+}
+
+// replace sets st to src, the state of the paths that continue past a
+// branch. A channel stays must-nil only if it was nil before the branch
+// too: nil assignments inside a branch do not outlive it.
+func (st *flowState) replace(src *flowState) {
+	st.held, st.closed = src.held, src.closed
+	for _, k := range detmap.SortedKeys(st.nilch) {
+		if !src.nilch[k] {
+			delete(st.nilch, k)
+		}
 	}
 }
 
@@ -301,6 +375,7 @@ type fnNode struct {
 	sig      *types.Signature
 	name     string // display name for chains; a literal is its parent's name + ".func"
 	pos      token.Pos
+	pkg      *Package
 	top      *fnNode
 	accesses []guardAccess
 	acquires []lockAcquire
@@ -310,6 +385,66 @@ type fnNode struct {
 	spawns   []*spawn
 	wgDone   []string // WaitGroup identities Done'd (incl. deferred)
 	wgWait   []string // WaitGroup identities Wait-ed (incl. deferred)
+	chanOps  []chanOp // in walk order
+
+	// The declaration scan's facts (declscan.go), on declaration nodes
+	// only: they cover the whole body, nested literals and dead code
+	// included.
+	refs      []FuncRef
+	mapRanges []token.Pos     // map iterations other than the key-collection loop
+	allocs    map[string]bool // channel identities made in the declaration
+	paramUses []paramUse      // in source order
+}
+
+// A paramUse is a send on, close of or forward of one of a declaration's
+// parameters: the raw material of chanown's summaries.
+type paramUse struct {
+	param int    // parameter index
+	name  string // parameter name, for chains
+	op    string // "send" or "close"; "" for a forward
+	// A forward passes the parameter to callee as argument arg.
+	callee *types.Func
+	arg    int
+}
+
+// chanOpKind says what a chanOp does to its channel.
+type chanOpKind int
+
+const (
+	opSend chanOpKind = iota
+	opRecv
+	opRange
+	opClose
+	opDeferClose
+	opPass // passed to a call, whose callee may close it or send on it
+)
+
+// A chanOp is one channel operation on a walked path, with chanown's
+// channel state just before it.
+type chanOp struct {
+	kind   chanOpKind
+	ch     chanRef
+	pos    token.Pos
+	closed *closedAt // where the channel may have been closed; nil when open
+	isNil  bool      // the channel must be nil here, and the op is not a select case
+	// opPass: the channel is argument arg of a call to callee.
+	callee *types.Func
+	arg    int
+}
+
+// closedAt says where a channel may have been closed on the paths to a
+// program point. A close node is the close at pos. A call node stands
+// for pos when callee closes its parameter arg and for prev when it
+// does not: only the summaries built over the whole base tell which,
+// so chanown resolves the node. A join node (a and b set) takes the
+// earlier close of its two paths. Nodes are immutable and shared
+// between paths.
+type closedAt struct {
+	pos    token.Pos
+	callee *types.Func
+	arg    int
+	prev   *closedAt
+	a, b   *closedAt
 }
 
 // annErr is a malformed annotation, reported by the check it belongs
@@ -320,12 +455,13 @@ type annErr struct {
 	msg   string
 }
 
-// factBase is the whole-module fact base shared by the concurrency
+// factBase is the whole-module fact base shared by the whole-program
 // analyzers.
 type factBase struct {
 	fset       *token.FileSet
 	nodes      []*fnNode // declared functions and literals, position order
 	byFn       map[*types.Func]*fnNode
+	initRefs   map[*Package][]FuncRef // references in package-level initializers
 	guards     map[*types.Var]guardDecl
 	blocksAnn  map[*types.Func]string  // r3dlint:blocks reason per function
 	daemonFn   map[*types.Func]bool    // r3dlint:daemon on a declaration
@@ -340,12 +476,13 @@ type factBase struct {
 	callers map[*fnNode][]callerSite
 }
 
-// buildFacts collects the annotations, walks every function body of
-// the module and derives the interprocedural layer.
+// buildFacts collects the annotations, scans and walks every function
+// body of the module and derives the interprocedural layer.
 func buildFacts(pkgs []*Package) *factBase {
 	fb := &factBase{
 		fset:       fsetOf(pkgs),
 		byFn:       map[*types.Func]*fnNode{},
+		initRefs:   map[*Package][]FuncRef{},
 		guards:     map[*types.Var]guardDecl{},
 		blocksAnn:  map[*types.Func]string{},
 		daemonFn:   map[*types.Func]bool{},
@@ -356,25 +493,36 @@ func buildFacts(pkgs []*Package) *factBase {
 	for _, pkg := range pkgs {
 		fb.collectAnnotations(pkg)
 	}
-	ir := newIfaceResolver(pkgs)
+	sc := newScanner(pkgs)
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					obj, ok := pkg.Info.Defs[d.Name].(*types.Func)
+					if !ok || d.Body == nil {
+						continue
+					}
+					n := &fnNode{fn: obj, name: obj.Name(), pos: d.Pos(), pkg: pkg}
+					n.sig, _ = obj.Type().(*types.Signature)
+					n.top = n
+					fb.nodes = append(fb.nodes, n)
+					fb.byFn[obj] = n
+					sc.scan(pkg, n, d.Body, declParams(pkg, d))
+					w := &walker{fb: fb, pkg: pkg, ir: sc.ir, node: n, params: map[*types.Var]bool{}}
+					addParams(pkg, w.params, d.Recv, d.Type.Params)
+					w.walkStmt(d.Body, newFlowState())
+				case *ast.GenDecl:
+					vars := &fnNode{} // collects the initializers' references
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok {
+							for _, v := range vs.Values {
+								sc.scan(pkg, vars, v, nil)
+							}
+						}
+					}
+					fb.initRefs[pkg] = append(fb.initRefs[pkg], vars.refs...)
 				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				n := &fnNode{fn: obj, name: obj.Name(), pos: fd.Pos()}
-				n.sig, _ = obj.Type().(*types.Signature)
-				n.top = n
-				fb.nodes = append(fb.nodes, n)
-				fb.byFn[obj] = n
-				w := &walker{fb: fb, pkg: pkg, ir: ir, node: n}
-				w.walkStmt(fd.Body, heldSet{})
 			}
 		}
 	}
@@ -384,14 +532,18 @@ func buildFacts(pkgs []*Package) *factBase {
 	return fb
 }
 
-// facts returns the run's concurrency fact base, building it for the
-// first analyzer that asks and sharing it with the rest.
+// facts returns the run's fact base, building it for the first
+// analyzer that asks and sharing it with the rest.
 func (mp *ModulePass) facts() *factBase {
 	if mp.flow.fb == nil {
-		mp.flow.fb = buildFacts(mp.Pkgs)
+		mp.flow.fb = newFactBase(mp.Pkgs)
 	}
 	return mp.flow.fb
 }
+
+// newFactBase is buildFacts behind a variable, so a test can count the
+// builds of a run.
+var newFactBase = buildFacts
 
 // reportAnnErrs reports the malformed annotations that belong to the
 // pass's analyzer.

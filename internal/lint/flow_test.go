@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestFactBaseBuiltOncePerRun: every concurrency analyzer of one run
+// TestFactBaseBuiltOncePerRun: every whole-program analyzer of one run
 // reads the same fact base, and the next run builds its own.
 func TestFactBaseBuiltOncePerRun(t *testing.T) {
 	pkgs := []*Package{checkFixture(t, modelPath, `package fixture
@@ -26,6 +26,20 @@ func f() {}
 	}
 	if seen[2] == seen[0] {
 		t.Error("a second run reused the first run's fact base")
+	}
+
+	// dettaint and chanown read the same base: a run of the two alone
+	// builds it once.
+	build := newFactBase
+	defer func() { newFactBase = build }()
+	builds := 0
+	newFactBase = func(pkgs []*Package) *factBase {
+		builds++
+		return build(pkgs)
+	}
+	Run(pkgs, []*Analyzer{DetTaint, ChanOwn})
+	if builds != 1 {
+		t.Errorf("a run of dettaint and chanown built %d fact bases, want 1", builds)
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 	"strings"
 )
 
-// walker performs the one traversal of a function body, appending its
-// facts to node. The lock state is a heldSet mutated in place along
-// straight-line code, cloned at branch points and merged by
-// intersection where control flow joins — a mutex counts as held after
-// an if/else only if both arms hold it. Statements after a return or
-// branch on the same path are dead and not walked. The loop stack
-// attributes blocking operations, calls and stop-channel select clauses
-// to the innermost enclosing loop.
+// walker performs the one flow-sensitive traversal of a function body,
+// appending its facts to node. The state (flowState) is mutated in
+// place along straight-line code and cloned at branch points. Where
+// control flow joins, the lock state is merged by intersection — a
+// mutex counts as held after an if/else only if both arms hold it — and
+// chanown's channel state by union (may-closed) and intersection
+// (must-nil). Statements after a return or branch on the same path are
+// dead and not walked. The loop stack attributes blocking operations,
+// calls and stop-channel select clauses to the innermost enclosing
+// loop.
 type walker struct {
 	fb    *factBase
 	pkg   *Package
@@ -25,41 +27,66 @@ type walker struct {
 	// inSelect suppresses the per-operation channel blockOps of a
 	// select's communication clauses: the select statement itself is the
 	// single blocking point (or non-blocking, with a default clause).
+	// Nor is a nil channel in a select case a chanown finding: it is the
+	// idiomatic way to disable the case.
 	inSelect bool
+	// params holds the parameters of the declaration and of its walked
+	// literals, shared by their walkers: closing one is chanown's
+	// parameter close.
+	params map[*types.Var]bool
 }
 
-// walkStmt walks one statement under held, mutating held in place for
+// walkStmt walks one statement under st, mutating st in place for
 // straight-line effects. terminated reports that control cannot flow
 // past the statement on this path (return, branch).
-func (w *walker) walkStmt(s ast.Stmt, held heldSet) (terminated bool) {
+func (w *walker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 	switch s := s.(type) {
 	case nil:
 	case *ast.BlockStmt:
-		return w.walkStmts(s.List, held)
+		return w.walkStmts(s.List, st)
 	case *ast.ExprStmt:
-		w.walkExpr(s.X, held)
+		w.walkExpr(s.X, st)
 	case *ast.AssignStmt:
 		for _, r := range s.Rhs {
-			w.walkExpr(r, held)
+			w.walkExpr(r, st)
 		}
-		for _, l := range s.Lhs {
-			w.markWrite(l, held)
+		for i, l := range s.Lhs {
+			w.markWrite(l, st)
+			if !isChanExpr(w.pkg.Info, l) {
+				continue
+			}
+			if ref, ok := w.chanRef(l); ok {
+				st.reassign(ref.key, ref.kind == crLocal && len(s.Lhs) == len(s.Rhs) && isNilExpr(w.pkg.Info, s.Rhs[i]))
+			}
 		}
 	case *ast.IncDecStmt:
-		w.markWrite(s.X, held)
+		w.markWrite(s.X, st)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.walkExpr(v, held)
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				for _, v := range vs.Values {
+					w.walkExpr(v, st)
+				}
+				if len(vs.Values) > 0 {
+					continue
+				}
+				// `var ch chan T` without an initializer is nil.
+				for _, name := range vs.Names {
+					if v, ok := w.pkg.Info.Defs[name].(*types.Var); ok {
+						if _, isChan := v.Type().Underlying().(*types.Chan); isChan {
+							st.setNil("local:" + posKey(v.Pos()))
+						}
 					}
 				}
 			}
 		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			w.walkExpr(r, held)
+			w.walkExpr(r, st)
 		}
 		return true
 	case *ast.BranchStmt:
@@ -68,71 +95,74 @@ func (w *walker) walkStmt(s ast.Stmt, held heldSet) (terminated bool) {
 		// exit conservatively intersects with the loop entry anyway).
 		return true
 	case *ast.IfStmt:
-		w.walkStmt(s.Init, held)
-		w.walkExpr(s.Cond, held)
-		thenHeld := held.clone()
-		thenTerm := w.walkStmt(s.Body, thenHeld)
-		elseHeld := held.clone()
+		w.walkStmt(s.Init, st)
+		w.walkExpr(s.Cond, st)
+		thenSt := st.clone()
+		thenTerm := w.walkStmt(s.Body, thenSt)
+		elseSt := st.clone()
 		elseTerm := false
 		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseHeld)
+			elseTerm = w.walkStmt(s.Else, elseSt)
 		}
 		switch {
 		case thenTerm && elseTerm:
-			// Dead code after the if; leave held unchanged.
+			// Dead code after the if; leave st unchanged.
 		case thenTerm:
-			replaceHeld(held, elseHeld)
+			st.replace(elseSt)
 		case elseTerm:
-			replaceHeld(held, thenHeld)
+			st.replace(thenSt)
 		default:
-			replaceHeld(held, intersectHeld(thenHeld, elseHeld))
+			thenSt.join(elseSt)
+			st.replace(thenSt)
 		}
 		return thenTerm && elseTerm
 	case *ast.ForStmt:
-		w.walkStmt(s.Init, held)
+		w.walkStmt(s.Init, st)
 		desc := "for loop"
 		if s.Cond == nil {
 			desc = "endless for loop"
 		} else {
-			w.walkExpr(s.Cond, held)
+			w.walkExpr(s.Cond, st)
 		}
 		w.loops = append(w.loops, w.newLoop(s.Pos(), desc, s.Cond == nil))
-		bodyHeld := held.clone()
-		if !w.walkStmt(s.Body, bodyHeld) {
-			w.walkStmt(s.Post, bodyHeld)
+		bodySt := st.clone()
+		if !w.walkStmt(s.Body, bodySt) {
+			w.walkStmt(s.Post, bodySt)
 			// The loop body may run zero times: only locks held both at
 			// entry and at the body's exit survive the loop.
-			replaceHeld(held, intersectHeld(held, bodyHeld))
+			st.held = intersectHeld(st.held, bodySt.held)
 		}
+		// Closes in the body may have run, whether or not it terminates.
+		st.joinChans(bodySt)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.RangeStmt:
-		w.walkExpr(s.X, held)
+		w.walkExpr(s.X, st)
 		l := w.newLoop(s.Pos(), "range loop", false)
-		if tv, ok := w.pkg.Info.Types[s.X]; ok && tv.Type != nil {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				// Range over a channel terminates only when the channel is
-				// closed — unprovable here, so it counts as unbounded, and
-				// each iteration is a blocking receive.
-				l.desc, l.unbounded = "range over channel", true
-			}
+		if isChanExpr(w.pkg.Info, s.X) {
+			// Range over a channel terminates only when the channel is
+			// closed — unprovable here, so it counts as unbounded, and
+			// each iteration is a blocking receive.
+			l.desc, l.unbounded = "range over channel", true
+			w.chanOp(opRange, s.X, s.Pos(), st)
 		}
 		w.loops = append(w.loops, l)
 		if l.unbounded {
-			w.block(l.desc, s.Pos(), held, false)
+			w.block(l.desc, s.Pos(), st, false)
 		}
-		bodyHeld := held.clone()
-		if !w.walkStmt(s.Body, bodyHeld) {
-			replaceHeld(held, intersectHeld(held, bodyHeld))
+		bodySt := st.clone()
+		if !w.walkStmt(s.Body, bodySt) {
+			st.held = intersectHeld(st.held, bodySt.held)
 		}
+		st.joinChans(bodySt)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.SwitchStmt:
-		w.walkStmt(s.Init, held)
-		w.walkExpr(s.Tag, held)
-		w.walkCaseBodies(s.Body, held, false)
+		w.walkStmt(s.Init, st)
+		w.walkExpr(s.Tag, st)
+		w.walkCaseBodies(s.Body, st, false)
 	case *ast.TypeSwitchStmt:
-		w.walkStmt(s.Init, held)
-		w.walkStmt(s.Assign, held)
-		w.walkCaseBodies(s.Body, held, false)
+		w.walkStmt(s.Init, st)
+		w.walkStmt(s.Assign, st)
+		w.walkCaseBodies(s.Body, st, false)
 	case *ast.SelectStmt:
 		hasDefault := false
 		for _, c := range s.Body.List {
@@ -141,17 +171,18 @@ func (w *walker) walkStmt(s ast.Stmt, held heldSet) (terminated bool) {
 			}
 		}
 		if !hasDefault {
-			w.block("select without default", s.Pos(), held, false)
+			w.block("select without default", s.Pos(), st, false)
 		}
-		w.walkCaseBodies(s.Body, held, true)
+		w.walkCaseBodies(s.Body, st, true)
 	case *ast.SendStmt:
-		w.walkExpr(s.Chan, held)
-		w.walkExpr(s.Value, held)
+		w.walkExpr(s.Chan, st)
+		w.walkExpr(s.Value, st)
 		if !w.inSelect {
-			w.block("channel send", s.Pos(), held, false)
+			w.block("channel send", s.Pos(), st, false)
 		}
+		w.chanOp(opSend, s.Chan, s.Pos(), st)
 	case *ast.GoStmt:
-		w.walkSpawn(s.Call, held)
+		w.walkSpawn(s.Call, st)
 	case *ast.DeferStmt:
 		// `defer mu.Unlock()` is the canonical pairing: the lock stays
 		// held for the remainder of the body, so the deferred release is
@@ -161,20 +192,24 @@ func (w *walker) walkStmt(s ast.Stmt, held heldSet) (terminated bool) {
 		if _, _, _, ok := w.mutexOp(s.Call); ok {
 			return false
 		}
-		w.walkCall(s.Call, held, callDefer)
+		if arg, ok := closeArg(w.pkg.Info, s.Call); ok {
+			w.closeChan(arg, s.Call.Pos(), st, true)
+		}
+		w.walkCall(s.Call, st, callDefer)
 	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, held)
+		return w.walkStmt(s.Stmt, st)
 	default:
-		// Other statement kinds carry no lock or goroutine semantics.
+		// Other statement kinds carry no lock, goroutine or channel
+		// semantics.
 	}
 	return false
 }
 
 // walkStmts walks a statement list, stopping at the first statement
 // that terminates the path.
-func (w *walker) walkStmts(list []ast.Stmt, held heldSet) bool {
-	for _, st := range list {
-		if w.walkStmt(st, held) {
+func (w *walker) walkStmts(list []ast.Stmt, st *flowState) bool {
+	for _, s := range list {
+		if w.walkStmt(s, st) {
 			return true
 		}
 	}
@@ -182,23 +217,23 @@ func (w *walker) walkStmts(list []ast.Stmt, held heldSet) bool {
 }
 
 // walkCaseBodies walks the clauses of a switch/select body, each on a
-// clone of held, and merges the survivors by intersection. A switch
-// without a default can also fall through with no clause running, so
-// the entry state joins the merge then. A select clause receiving a
-// stop-like channel is recorded on the innermost loop.
-func (w *walker) walkCaseBodies(body *ast.BlockStmt, held heldSet, isSelect bool) {
+// clone of st, and joins the survivors. A switch without a default can
+// also fall through with no clause running, so the entry state joins
+// the merge then. A select clause receiving a stop-like channel is
+// recorded on the innermost loop.
+func (w *walker) walkCaseBodies(body *ast.BlockStmt, st *flowState, isSelect bool) {
 	// A select always runs exactly one clause (blocking until one is
 	// ready when there is no default), so the entry state does not flow
 	// around it.
 	exhaustive := isSelect
-	var exits []heldSet
+	var exits []*flowState
 	for _, c := range body.List {
-		cHeld := held.clone()
+		cSt := st.clone()
 		var stmts []ast.Stmt
 		switch cc := c.(type) {
 		case *ast.CaseClause:
 			for _, e := range cc.List {
-				w.walkExpr(e, cHeld)
+				w.walkExpr(e, cSt)
 			}
 			if cc.List == nil {
 				exhaustive = true // default clause
@@ -208,7 +243,7 @@ func (w *walker) walkCaseBodies(body *ast.BlockStmt, held heldSet, isSelect bool
 			if cc.Comm != nil {
 				prev := w.inSelect
 				w.inSelect = true
-				w.walkStmt(cc.Comm, cHeld)
+				w.walkStmt(cc.Comm, cSt)
 				w.inSelect = prev
 				if sr, ok := w.stopClause(cc); ok && len(w.loops) > 0 {
 					l := w.loops[len(w.loops)-1]
@@ -217,71 +252,72 @@ func (w *walker) walkCaseBodies(body *ast.BlockStmt, held heldSet, isSelect bool
 			}
 			stmts = cc.Body
 		}
-		if !w.walkStmts(stmts, cHeld) {
-			exits = append(exits, cHeld)
+		if !w.walkStmts(stmts, cSt) {
+			exits = append(exits, cSt)
 		}
 	}
 	if !exhaustive {
-		exits = append(exits, held.clone())
+		exits = append(exits, st.clone())
 	}
 	if len(exits) == 0 {
-		return // every clause terminated; keep held as-is for the dead path
+		return // every clause terminated; keep st as-is for the dead path
 	}
 	out := exits[0]
 	for _, e := range exits[1:] {
-		out = intersectHeld(out, e)
+		out.join(e)
 	}
-	replaceHeld(held, out)
+	st.replace(out)
 }
 
 // walkExpr scans an expression for guarded reads, calls, channel
-// receives and nested function literals, mutating held for mutex
-// operations that appear as the expression itself.
-func (w *walker) walkExpr(e ast.Expr, held heldSet) {
+// receives and nested function literals, mutating st for mutex
+// operations and closes that appear as the expression itself.
+func (w *walker) walkExpr(e ast.Expr, st *flowState) {
 	switch e := e.(type) {
 	case nil:
 	case *ast.Ident:
-		w.identUse(e, held, false)
+		w.identUse(e, st, false)
 	case *ast.SelectorExpr:
-		w.selectorUse(e, held, false)
+		w.selectorUse(e, st, false)
 	case *ast.CallExpr:
-		w.walkCall(e, held, callNormal)
+		w.walkCall(e, st, callNormal)
 	case *ast.UnaryExpr:
 		switch e.Op {
 		case token.ARROW:
-			w.walkExpr(e.X, held)
+			w.walkExpr(e.X, st)
 			if !w.inSelect {
-				w.block("channel receive", e.Pos(), held, false)
+				w.block("channel receive", e.Pos(), st, false)
 			}
+			w.chanOp(opRecv, e.X, e.Pos(), st)
 		case token.AND:
 			// Taking the address of guarded state lets it escape the
 			// critical section; treat it as a write-strength access.
-			w.markWrite(e.X, held)
+			w.markWrite(e.X, st)
 		default:
-			w.walkExpr(e.X, held)
+			w.walkExpr(e.X, st)
 		}
 	case *ast.BinaryExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Y, held)
+		w.walkExpr(e.X, st)
+		w.walkExpr(e.Y, st)
 	case *ast.ParenExpr:
-		w.walkExpr(e.X, held)
+		w.walkExpr(e.X, st)
 	case *ast.IndexExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Index, held)
+		w.walkExpr(e.X, st)
+		w.walkExpr(e.Index, st)
 	case *ast.IndexListExpr:
-		w.walkExpr(e.X, held)
+		w.walkExpr(e.X, st)
 		for _, i := range e.Indices {
-			w.walkExpr(i, held)
+			w.walkExpr(i, st)
 		}
 	case *ast.SliceExpr:
-		w.walkExpr(e.X, held)
-		w.walkExpr(e.Low, held)
-		w.walkExpr(e.High, held)
-		w.walkExpr(e.Max, held)
+		w.walkExpr(e.X, st)
+		w.walkExpr(e.Low, st)
+		w.walkExpr(e.High, st)
+		w.walkExpr(e.Max, st)
 	case *ast.StarExpr:
-		w.walkExpr(e.X, held)
+		w.walkExpr(e.X, st)
 	case *ast.TypeAssertExpr:
-		w.walkExpr(e.X, held)
+		w.walkExpr(e.X, st)
 	case *ast.CompositeLit:
 		for _, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
@@ -290,16 +326,16 @@ func (w *walker) walkExpr(e ast.Expr, held heldSet) {
 				// not accesses; map-literal keys are real expressions.
 				if id, isIdent := kv.Key.(*ast.Ident); isIdent {
 					if v, isVar := w.pkg.Info.Uses[id].(*types.Var); isVar && v.IsField() {
-						w.walkExpr(kv.Value, held)
+						w.walkExpr(kv.Value, st)
 						continue
 					}
 				}
 			}
-			w.walkExpr(el, held)
+			w.walkExpr(el, st)
 		}
 	case *ast.KeyValueExpr:
-		w.walkExpr(e.Key, held)
-		w.walkExpr(e.Value, held)
+		w.walkExpr(e.Key, st)
+		w.walkExpr(e.Value, st)
 	case *ast.FuncLit:
 		w.walkLit(e)
 	default:
@@ -308,35 +344,39 @@ func (w *walker) walkExpr(e ast.Expr, held heldSet) {
 }
 
 // walkLit walks a function literal as its own node with an empty entry
-// held-set: a literal typically runs on a new goroutine, as a deferred
+// state: a literal typically runs on a new goroutine, as a deferred
 // cleanup or via a scheduler callback, none of which inherit the
-// enclosing critical section. The spawner scope (top) stays at the
-// enclosing declaration so WaitGroup joins across the literal boundary
-// still prove.
+// enclosing critical section or run at a known point of its channel
+// operations. The spawner scope (top) stays at the enclosing
+// declaration so WaitGroup joins across the literal boundary still
+// prove, and chanown still judges the literal's closes as the
+// declaration's.
 func (w *walker) walkLit(lit *ast.FuncLit) *fnNode {
-	n := &fnNode{name: w.node.name + ".func", pos: lit.Pos(), top: w.node.top}
+	n := &fnNode{name: w.node.name + ".func", pos: lit.Pos(), pkg: w.pkg, top: w.node.top}
 	if tv, ok := w.pkg.Info.Types[lit]; ok {
 		n.sig, _ = tv.Type.(*types.Signature)
 	}
 	w.fb.nodes = append(w.fb.nodes, n)
-	lw := &walker{fb: w.fb, pkg: w.pkg, ir: w.ir, node: n}
-	lw.walkStmt(lit.Body, heldSet{})
+	addParams(w.pkg, w.params, lit.Type.Params)
+	lw := &walker{fb: w.fb, pkg: w.pkg, ir: w.ir, node: n, params: w.params}
+	lw.walkStmt(lit.Body, newFlowState())
 	return n
 }
 
 // walkSpawn records one `go` statement, resolving the spawned body to a
 // literal node or a named module function when possible. Spawns of
 // plain function values are recorded with no body and excused by
-// goleak — the documented precision hole, shared with the call graph.
-func (w *walker) walkSpawn(call *ast.CallExpr, held heldSet) {
+// goleak — the documented precision hole, shared with dettaint's
+// references.
+func (w *walker) walkSpawn(call *ast.CallExpr, st *flowState) {
 	sp := &spawn{pos: call.Pos()}
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		sp.lit = w.walkLit(lit)
 		for _, a := range call.Args {
-			w.walkExpr(a, held)
+			w.walkExpr(a, st)
 		}
 	} else {
-		w.walkCall(call, held, callGo)
+		w.walkCall(call, st, callGo)
 		if fn := calleeFunc(w.pkg.Info, call); fn != nil {
 			sp.target = fn.Origin()
 		}
@@ -345,32 +385,36 @@ func (w *walker) walkSpawn(call *ast.CallExpr, held heldSet) {
 }
 
 // walkCall classifies one call expression: a mutex operation, a
-// builtin, a WaitGroup operation, a known blocking call, or an ordinary
-// call site recorded for interprocedural propagation. Arguments and the
-// receiver chain are scanned either way.
-func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
+// builtin (close among them), a WaitGroup operation, a known blocking
+// call, or an ordinary call site recorded for interprocedural
+// propagation. Arguments and the receiver chain are scanned either way.
+func (w *walker) walkCall(call *ast.CallExpr, st *flowState, kind callKind) {
 	if id, mode, name, ok := w.mutexOp(call); ok {
 		switch name {
 		case "Lock", "RLock":
-			w.node.acquires = append(w.node.acquires, lockAcquire{id: id, pos: call.Pos(), held: held.clone()})
-			held.acquire(id, mode)
+			w.node.acquires = append(w.node.acquires, lockAcquire{id: id, pos: call.Pos(), held: st.held.clone()})
+			st.held.acquire(id, mode)
 		case "Unlock", "RUnlock":
-			delete(held, id)
+			delete(st.held, id)
 		}
 		// TryLock/TryRLock/RLocker are ignored: a conditional acquire
 		// needs path-sensitive success tracking this walker doesn't do.
 		return
 	}
-	// Builtins: delete mutates its map argument.
+	// Builtins: delete mutates its map argument; close closes its
+	// channel (a deferred close is the DeferStmt's).
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
 			if id.Name == "delete" && len(call.Args) == 2 {
-				w.markWrite(call.Args[0], held)
-				w.walkExpr(call.Args[1], held)
+				w.markWrite(call.Args[0], st)
+				w.walkExpr(call.Args[1], st)
 				return
 			}
 			for _, a := range call.Args {
-				w.walkExpr(a, held)
+				w.walkExpr(a, st)
+			}
+			if id.Name == "close" && len(call.Args) == 1 && kind == callNormal {
+				w.closeChan(call.Args[0], call.Pos(), st, false)
 			}
 			return
 		}
@@ -379,15 +423,15 @@ func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
 	// arguments for guarded accesses and nested calls.
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		w.walkExpr(fun.X, held)
+		w.walkExpr(fun.X, st)
 	case *ast.Ident:
 		// Callee ident handled below; a plain conversion like T(x) has
 		// no callee object and needs no scan of the ident.
 	default:
-		w.walkExpr(fun, held)
+		w.walkExpr(fun, st)
 	}
 	for _, a := range call.Args {
-		w.walkExpr(a, held)
+		w.walkExpr(a, st)
 	}
 
 	fn := calleeFunc(w.pkg.Info, call)
@@ -395,6 +439,9 @@ func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
 		return
 	}
 	fn = fn.Origin() // instantiated generic methods → their declaration
+	if kind == callNormal {
+		w.passChans(call, fn, st)
+	}
 	if key, name, ok := w.waitGroupOp(call, fn); ok {
 		if name == "Done" {
 			w.node.wgDone = append(w.node.wgDone, key)
@@ -406,11 +453,11 @@ func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
 		if desc, ok := blockingCallDesc(fn); ok {
 			// Sleeps and local file I/O finish on their own.
 			finite := desc == "time.Sleep" || strings.Contains(desc, "file I/O")
-			w.block(desc, call.Pos(), held, finite)
+			w.block(desc, call.Pos(), st, finite)
 			return
 		}
 	}
-	c := &callSite{callee: fn, pos: call.Pos(), held: held.clone(), kind: kind}
+	c := &callSite{callee: fn, pos: call.Pos(), held: st.held.clone(), kind: kind}
 	for _, a := range call.Args {
 		if sr, ok := w.stopChan(a); ok {
 			c.stopArgs = append(c.stopArgs, sr)
@@ -430,6 +477,57 @@ func (w *walker) walkCall(call *ast.CallExpr, held heldSet, kind callKind) {
 	}
 }
 
+// chanRef resolves a channel expression of the body.
+func (w *walker) chanRef(x ast.Expr) (chanRef, bool) {
+	return resolveChan(w.pkg, w.params, x)
+}
+
+// chanOp records a send on, receive from or range over the channel x
+// with the state before it.
+func (w *walker) chanOp(kind chanOpKind, x ast.Expr, pos token.Pos, st *flowState) {
+	if ref, ok := w.chanRef(x); ok {
+		w.node.chanOps = append(w.node.chanOps, chanOp{
+			kind: kind, ch: ref, pos: pos,
+			closed: st.closed[ref.key], isNil: st.nilch[ref.key] && !w.inSelect,
+		})
+	}
+}
+
+// closeChan records a close of x at pos — deferred: at function exit —
+// and applies it to st.
+func (w *walker) closeChan(x ast.Expr, pos token.Pos, st *flowState, deferred bool) {
+	ref, ok := w.chanRef(x)
+	if !ok {
+		return
+	}
+	op := chanOp{kind: opDeferClose, ch: ref, pos: pos}
+	if !deferred {
+		op.kind, op.closed = opClose, st.closed[ref.key]
+		st.setClosed(ref.key, &closedAt{pos: pos})
+		delete(st.nilch, ref.key)
+	}
+	w.node.chanOps = append(w.node.chanOps, op)
+}
+
+// passChans records each channel argument of a call to fn with the
+// state before the call. Afterwards the channel is closed at the call
+// if fn closes that parameter, and as before if not; chanown resolves
+// which from fn's summary.
+func (w *walker) passChans(call *ast.CallExpr, fn *types.Func, st *flowState) {
+	for i, a := range call.Args {
+		if !isChanExpr(w.pkg.Info, a) {
+			continue
+		}
+		ref, ok := w.chanRef(a)
+		if !ok {
+			continue
+		}
+		prev := st.closed[ref.key]
+		w.node.chanOps = append(w.node.chanOps, chanOp{kind: opPass, ch: ref, pos: call.Pos(), closed: prev, callee: fn, arg: i})
+		st.setClosed(ref.key, &closedAt{pos: call.Pos(), callee: fn, arg: i, prev: prev})
+	}
+}
+
 // newLoop records a loop on the node; the caller pushes it.
 func (w *walker) newLoop(pos token.Pos, desc string, unbounded bool) *loop {
 	l := &loop{pos: pos, desc: desc, unbounded: unbounded}
@@ -439,8 +537,8 @@ func (w *walker) newLoop(pos token.Pos, desc string, unbounded bool) *loop {
 
 // block records one directly blocking operation at pos, attributed to
 // the innermost enclosing loop (if any).
-func (w *walker) block(desc string, pos token.Pos, held heldSet, finite bool) {
-	op := blockOp{desc: desc, pos: pos, held: held.clone(), finite: finite}
+func (w *walker) block(desc string, pos token.Pos, st *flowState, finite bool) {
+	op := blockOp{desc: desc, pos: pos, held: st.held.clone(), finite: finite}
 	w.node.blocks = append(w.node.blocks, op)
 	if n := len(w.loops); n > 0 {
 		l := w.loops[n-1]
@@ -599,23 +697,23 @@ func recvNamed(fn *types.Func) *types.Named {
 // to their generic origin so fields and methods of instantiated generic
 // types (runsched.Engine[K, V]) match the declarations the annotations
 // sit on.
-func (w *walker) identUse(id *ast.Ident, held heldSet, write bool) {
-	w.use(w.pkg.Info.Uses[id], id.Pos(), held, write)
+func (w *walker) identUse(id *ast.Ident, st *flowState, write bool) {
+	w.use(w.pkg.Info.Uses[id], id.Pos(), st, write)
 }
 
 // selectorUse records a use of a guarded struct field reached through a
 // selection, scans the receiver chain, and tracks method values.
-func (w *walker) selectorUse(sel *ast.SelectorExpr, held heldSet, write bool) {
-	w.walkExpr(sel.X, held)
-	w.use(w.pkg.Info.Uses[sel.Sel], sel.Sel.Pos(), held, write)
+func (w *walker) selectorUse(sel *ast.SelectorExpr, st *flowState, write bool) {
+	w.walkExpr(sel.X, st)
+	w.use(w.pkg.Info.Uses[sel.Sel], sel.Sel.Pos(), st, write)
 }
 
-func (w *walker) use(obj types.Object, pos token.Pos, held heldSet, write bool) {
+func (w *walker) use(obj types.Object, pos token.Pos, st *flowState, write bool) {
 	switch obj := obj.(type) {
 	case *types.Var:
 		v := obj.Origin()
 		if _, ok := w.fb.guards[v]; ok {
-			w.node.accesses = append(w.node.accesses, guardAccess{target: v, pos: pos, write: write, held: held.clone()})
+			w.node.accesses = append(w.node.accesses, guardAccess{target: v, pos: pos, write: write, held: st.held.clone()})
 		}
 	case *types.Func:
 		w.fb.valueRef[obj.Origin()] = true
@@ -624,23 +722,23 @@ func (w *walker) use(obj types.Object, pos token.Pos, held heldSet, write bool) 
 
 // markWrite records a write-strength access to the assignment target l,
 // walking its subexpressions as reads.
-func (w *walker) markWrite(l ast.Expr, held heldSet) {
+func (w *walker) markWrite(l ast.Expr, st *flowState) {
 	switch l := ast.Unparen(l).(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
 			return
 		}
-		w.identUse(l, held, true)
+		w.identUse(l, st, true)
 	case *ast.SelectorExpr:
-		w.selectorUse(l, held, true)
+		w.selectorUse(l, st, true)
 	case *ast.IndexExpr:
 		// m[k] = v mutates the container m: write-strength on m.
-		w.markWrite(l.X, held)
-		w.walkExpr(l.Index, held)
+		w.markWrite(l.X, st)
+		w.walkExpr(l.Index, st)
 	case *ast.StarExpr:
-		w.walkExpr(l.X, held)
+		w.walkExpr(l.X, st)
 	default:
-		w.walkExpr(l, held)
+		w.walkExpr(l, st)
 	}
 }
 

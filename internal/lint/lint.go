@@ -146,8 +146,8 @@ func (p *Pass) inspectAll(fn func(ast.Node) bool) {
 	}
 }
 
-// sortFindings orders findings by position then check name so output is
-// itself deterministic.
+// sortFindings orders findings by position, check name and message, so
+// output does not depend on the order the analyzers reported in.
 func sortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -160,6 +160,9 @@ func sortFindings(fs []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Check < b.Check
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
 	})
 }
