@@ -85,7 +85,7 @@ func TestCheckerCapReachesWindows(t *testing.T) {
 func TestWindowsGolden(t *testing.T) {
 	q := goldenQuality()
 	keys := goldenKeys(q)
-	s := NewParallelSession(q, runtime.GOMAXPROCS(0), nil)
+	s := NewSessionWith(q, SessionOptions{Workers: runtime.GOMAXPROCS(0)})
 	if err := s.Prefetch(keys); err != nil {
 		t.Fatal(err)
 	}

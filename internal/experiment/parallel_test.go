@@ -52,9 +52,9 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 		t.Skip("full fast render in -short mode")
 	}
 	q := Fast()
-	s1 := NewParallelSession(q, 1, nil)
+	s1 := NewSessionWith(q, SessionOptions{Workers: 1})
 	serial := renderAll(t, s1, 1)
-	s8 := NewParallelSession(q, 8, nil)
+	s8 := NewSessionWith(q, SessionOptions{Workers: 8})
 	par := renderAll(t, s8, 8)
 	if serial != par {
 		t.Fatalf("workers=1 and workers=8 output differ; first %s", firstDiffLine(serial, par))
@@ -92,7 +92,7 @@ func TestConcurrentThermalSolves(t *testing.T) {
 	q.MeasureInsts = 4_000
 	q.ThermalTolC = 0.5
 	q.ThermalMaxIters = 200
-	s := NewParallelSession(q, 4, nil)
+	s := NewSessionWith(q, SessionOptions{Workers: 4})
 	act, rate, err := s.SuiteActivity(L2DA)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestConcurrentSessionRace(t *testing.T) {
 	q.MeasureInsts = 4_000
 	q.ThermalTolC = 0.5
 	q.ThermalMaxIters = 200
-	s := NewParallelSession(q, 4, nil)
+	s := NewSessionWith(q, SessionOptions{Workers: 4})
 
 	keys := suiteLeadKeys(q, L2DA, nuca.DistributedSets, 0)
 	keys = append(keys, suiteLeadKeys(q, L2D2A, nuca.DistributedSets, 0)...)

@@ -191,18 +191,12 @@ type SessionOptions struct {
 // the byte-identical baseline every parallel configuration is measured
 // against.
 func NewSession(q Quality) *Session {
-	return NewParallelSession(q, 1, nil)
+	return NewSessionWith(q, SessionOptions{Workers: 1})
 }
 
-// NewParallelSession creates a session whose prefetch batches fan out
-// across a bounded worker pool. Output is byte-identical for any worker
-// count. It is NewSessionWith(q, SessionOptions{Workers: workers,
-// Clock: clock}).
-func NewParallelSession(q Quality, workers int, clock func() int64) *Session {
-	return NewSessionWith(q, SessionOptions{Workers: workers, Clock: clock})
-}
-
-// NewSessionWith creates a session with the full option set.
+// NewSessionWith creates a session with the full option set. Prefetch
+// batches fan out across opts.Workers; output is byte-identical for any
+// worker count.
 func NewSessionWith(q Quality, opts SessionOptions) *Session {
 	s := &Session{
 		Q:               q,
