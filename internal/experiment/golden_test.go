@@ -16,7 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "regenerate the testdata goldens instead of comparing against them")
 
-const windowsGolden = "testdata/windows.golden"
+const (
+	windowsGolden = "testdata/windows.golden"
+	renderGolden  = "testdata/render.golden"
+)
 
 // goldenQuality is Fast() with windows a sixtieth as long: short enough
 // for every test run, long enough that any change to what a window
@@ -101,24 +104,32 @@ func TestWindowsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x\n", k, sha256.Sum256(enc))
 	}
+	checkGolden(t, windowsGolden, got.Bytes(), "window digest")
+}
+
+// checkGolden compares got with the golden file at path line by line,
+// so a failure names each line (what names a digest) that moved. With
+// -update it rewrites the file instead.
+func checkGolden(t *testing.T, path string, got []byte, what string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(windowsGolden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(windowsGolden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if bytes.Equal(got.Bytes(), want) {
+	if bytes.Equal(got, want) {
 		return
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	gotLines := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
+	gotLines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
 	for _, l := range gotLines {
 		if !slices.Contains(wantLines, l) {
-			t.Errorf("window digest changed or added: %s", l)
+			t.Errorf("%s changed or added: %s", what, l)
 		}
 	}
 	for _, l := range wantLines {

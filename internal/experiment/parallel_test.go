@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,23 +11,29 @@ import (
 	"r3d/internal/nuca"
 )
 
+// renderedExperiment is one registry entry's output, exactly as
+// r3dbench prints it.
+type renderedExperiment struct {
+	name, text string
+}
+
 // renderAll prefetches the full registry manifest and renders every
-// experiment, mirroring what r3dbench does.
-func renderAll(tb testing.TB, s *Session, workers int) string {
+// experiment in registry order, mirroring what r3dbench does.
+func renderAll(tb testing.TB, s *Session, workers int) []renderedExperiment {
 	tb.Helper()
 	reg := Registry()
 	if err := s.Prefetch(ManifestUnion(s.Q, reg)); err != nil {
 		tb.Fatalf("prefetch: %v", err)
 	}
-	var b strings.Builder
+	out := make([]renderedExperiment, 0, len(reg))
 	for _, e := range reg {
 		r, err := e.Run(s, workers)
 		if err != nil {
 			tb.Fatalf("%s: %v", e.Name, err)
 		}
-		fmt.Fprintln(&b, r)
+		out = append(out, renderedExperiment{name: e.Name, text: fmt.Sprintln(r)})
 	}
-	return b.String()
+	return out
 }
 
 func firstDiffLine(a, b string) string {
@@ -44,6 +52,14 @@ func firstDiffLine(a, b string) string {
 // functions of their case key (cold start + deterministic coarse-grid
 // preconditioner, memoized as immutable snapshots), so they hold this
 // invariant even while running concurrently inside the render.
+//
+// The serial render is also pinned against testdata/render.golden, one
+// SHA-256 per experiment, so a change that moves every render alike
+// fails here too. An intended change regenerates the file with
+//
+//	go test ./internal/experiment -run TestWorkerCountByteIdentity -update
+//
+// and only the experiments it meant to move change lines.
 func TestWorkerCountByteIdentity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full fast render is too slow under the race detector; TestConcurrentSessionRace covers concurrency")
@@ -54,10 +70,20 @@ func TestWorkerCountByteIdentity(t *testing.T) {
 	q := Fast()
 	s1 := NewSessionWith(q, SessionOptions{Workers: 1})
 	serial := renderAll(t, s1, 1)
+	var digests bytes.Buffer
+	for _, r := range serial {
+		fmt.Fprintf(&digests, "%s %x\n", r.name, sha256.Sum256([]byte(r.text)))
+	}
+	checkGolden(t, renderGolden, digests.Bytes(), "render digest")
+	if *update {
+		return
+	}
 	s8 := NewSessionWith(q, SessionOptions{Workers: 8})
 	par := renderAll(t, s8, 8)
-	if serial != par {
-		t.Fatalf("workers=1 and workers=8 output differ; first %s", firstDiffLine(serial, par))
+	for i := range serial {
+		if serial[i].text != par[i].text {
+			t.Fatalf("%s: workers=1 and workers=8 output differ; first %s", serial[i].name, firstDiffLine(serial[i].text, par[i].text))
+		}
 	}
 	// The schedule must also be identical work — same windows computed,
 	// memoized and deduplicated — regardless of pool width. (Timings are
