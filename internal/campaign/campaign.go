@@ -155,16 +155,9 @@ func BuildSystem(spec TrialSpec) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var l2cfg nuca.Config
-	switch spec.L2 {
-	case "", "2d-a":
-		l2cfg = nuca.Config2DA(nuca.DistributedSets)
-	case "2d-2a":
-		l2cfg = nuca.Config2D2A(nuca.DistributedSets)
-	case "3d-2a":
-		l2cfg = nuca.Config3D2A(nuca.DistributedSets)
-	default:
-		return nil, fmt.Errorf("campaign: unknown L2 organization %q", spec.L2)
+	l2cfg, err := nuca.ByName(spec.L2, nuca.DistributedSets)
+	if err != nil {
+		return nil, err
 	}
 	g := trace.MustGenerator(b.Profile, spec.Config.Seed)
 	lead, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))

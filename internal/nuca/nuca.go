@@ -333,3 +333,17 @@ func Config2D2A(p Policy) Config {
 func Config3D2A(p Policy) Config {
 	return Config{Name: "3d-2a", Policy: p, HopsPerBank: append([]int(nil), hops3D2A...)}
 }
+
+// ByName returns the paper configuration named "2d-a", "2d-2a" or
+// "3d-2a" with placement policy p; "" selects 2d-a.
+func ByName(name string, p Policy) (Config, error) {
+	switch name {
+	case "", "2d-a":
+		return Config2DA(p), nil
+	case "2d-2a":
+		return Config2D2A(p), nil
+	case "3d-2a":
+		return Config3D2A(p), nil
+	}
+	return Config{}, fmt.Errorf("nuca: unknown L2 organization %q", name)
+}

@@ -19,6 +19,26 @@ func TestPaperConfigCapacities(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Config
+	}{
+		{"", Config2DA(DistributedWays)},
+		{"2d-a", Config2DA(DistributedWays)},
+		{"2d-2a", Config2D2A(DistributedWays)},
+		{"3d-2a", Config3D2A(DistributedWays)},
+	} {
+		got, err := ByName(c.name, DistributedWays)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+	}
+	if _, err := ByName("3d-a", DistributedSets); err == nil {
+		t.Error("an unknown organization must error")
+	}
+}
+
 func TestMeanHitLatenciesMatchPaper(t *testing.T) {
 	// §3.3: average L2 hit latency is 18 cycles for 2d-a, 22 for 2d-2a,
 	// and 3d-2a stays at the 2d-a level.

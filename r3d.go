@@ -40,18 +40,6 @@ const (
 	L2Org3D2A L2Org = "3d-2a" // 15 MB, 9 banks stacked
 )
 
-func (o L2Org) config() (nuca.Config, error) {
-	switch o {
-	case L2Org2DA, "":
-		return nuca.Config2DA(nuca.DistributedSets), nil
-	case L2Org2D2A:
-		return nuca.Config2D2A(nuca.DistributedSets), nil
-	case L2Org3D2A:
-		return nuca.Config3D2A(nuca.DistributedSets), nil
-	}
-	return nuca.Config{}, fmt.Errorf("r3d: unknown L2 organization %q", o)
-}
-
 // Result summarizes a standalone leading-core run.
 type Result struct {
 	Benchmark      string
@@ -70,7 +58,7 @@ func RunBenchmark(name string, org L2Org, n uint64, seed int64) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	l2cfg, err := org.config()
+	l2cfg, err := nuca.ByName(string(org), nuca.DistributedSets)
 	if err != nil {
 		return Result{}, err
 	}
@@ -108,7 +96,10 @@ type ReliableResult struct {
 // the checker's frequency range (2.0 for the homogeneous stack, 1.4 for
 // the §4 90 nm checker die).
 func RunReliable(name string, org L2Org, n uint64, maxCheckerGHz float64, seed int64) (ReliableResult, error) {
-	sys, err := newSystem(name, org, maxCheckerGHz, seed)
+	sys, err := campaign.BuildSystem(campaign.TrialSpec{
+		Bench: name, L2: string(org), CheckerMaxGHz: maxCheckerGHz,
+		Config: fault.CampaignConfig{Seed: seed},
+	})
 	if err != nil {
 		return ReliableResult{}, err
 	}
@@ -142,18 +133,19 @@ type InjectionResult struct {
 // surfaces as an error instead of killing the process. Grid campaigns
 // over many seeds and rates belong to cmd/r3dfault.
 func RunInjection(name string, n uint64, nodeNm int, leadPerM, checkerPerM float64, seed int64) (InjectionResult, error) {
-	sys, err := newSystem(name, L2Org2DA, 2.0, seed)
-	if err != nil {
-		return InjectionResult{}, err
-	}
-	out := campaign.RunSupervised(sys, fault.CampaignConfig{
+	spec := campaign.TrialSpec{Bench: name, L2: string(L2Org2DA), CheckerMaxGHz: 2.0, Config: fault.CampaignConfig{
 		Instructions:         n,
 		CycleBudget:          fault.DefaultCycleBudget(n),
 		LeadSoftPerMCycle:    leadPerM,
 		CheckerSoftPerMCycle: checkerPerM,
 		TimingNode:           tech.Node(nodeNm),
 		Seed:                 seed,
-	}, campaign.Watchdog{})
+	}}
+	sys, err := campaign.BuildSystem(spec)
+	if err != nil {
+		return InjectionResult{}, err
+	}
+	out := campaign.RunSupervised(sys, spec.Config, campaign.Watchdog{})
 	if out.Status == campaign.StatusCrashed {
 		return InjectionResult{}, fmt.Errorf("r3d: injection campaign crashed: %s", out.Reason)
 	}
@@ -177,27 +169,6 @@ func TechScaling(oldNm, newNm int) (dynamic, leakage float64, err error) {
 		return 0, 0, err
 	}
 	return s.Dynamic, s.Leakage, nil
-}
-
-func newSystem(name string, org L2Org, maxGHz float64, seed int64) (*core.System, error) {
-	b, err := trace.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	l2cfg, err := org.config()
-	if err != nil {
-		return nil, err
-	}
-	g := trace.MustGenerator(b.Profile, seed)
-	lead, err := ooo.New(ooo.Default(), g, nuca.New(l2cfg))
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Default(ooo.Default())
-	if maxGHz > 0 {
-		cfg.CheckerMaxFreqGHz = maxGHz
-	}
-	return core.New(cfg, lead)
 }
 
 func reliableResult(name string, sys *core.System, st core.SystemStats) ReliableResult {
