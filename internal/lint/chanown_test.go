@@ -234,6 +234,66 @@ func madeLater() {
 	}
 }
 
+// A loop body that returns on every path cannot carry its close to the
+// loop exit; one that leaves through a break can.
+func TestChanOwnLoopExitJoinsOnlyEscapingBodies(t *testing.T) {
+	src := `package fixture
+
+func closeAndReturn(ok bool) {
+	ch := make(chan int)
+	for ok {
+		close(ch)
+		return
+	}
+	close(ch)
+}
+
+func closeAndBreak(ok bool) {
+	ch := make(chan int)
+	for ok {
+		close(ch)
+		break
+	}
+	close(ch)
+}
+`
+	got := findings(t, ChanOwn, modelPath, src)
+	wantChecks(t, got, "chanown")
+	if want := "second close of ch on this path (first close at fixture.go:15)"; got[0].Message != want || got[0].Pos.Line != 18 {
+		t.Errorf("finding %v, want %q at line 18", got[0], want)
+	}
+}
+
+// A channel that every branch sets to nil is nil after the join; one
+// that only some branches set to nil is not.
+func TestChanOwnNilOnEveryBranch(t *testing.T) {
+	src := `package fixture
+
+func nilOnBoth(ok bool) {
+	ch := make(chan int, 1)
+	if ok {
+		ch = nil
+	} else {
+		ch = nil
+	}
+	ch <- 1
+}
+
+func nilOnOne(ok bool) {
+	ch := make(chan int, 1)
+	if ok {
+		ch = nil
+	}
+	ch <- 1
+}
+`
+	got := findings(t, ChanOwn, modelPath, src)
+	wantChecks(t, got, "chanown")
+	if !strings.Contains(got[0].Message, "send on nil channel") || got[0].Pos.Line != 10 {
+		t.Errorf("finding %v, want a nil send at line 10", got[0])
+	}
+}
+
 func TestChanOwnSuppressionAndFieldReassign(t *testing.T) {
 	src := `package fixture
 

@@ -234,16 +234,10 @@ func (st *flowState) joinChans(o *flowState) {
 	}
 }
 
-// replace sets st to src, the state of the paths that continue past a
-// branch. A channel stays must-nil only if it was nil before the branch
-// too: nil assignments inside a branch do not outlive it.
+// replace sets st to src, the join of the paths that continue past a
+// branch: a channel every one of them set to nil is nil after it.
 func (st *flowState) replace(src *flowState) {
-	st.held, st.closed = src.held, src.closed
-	for _, k := range detmap.SortedKeys(st.nilch) {
-		if !src.nilch[k] {
-			delete(st.nilch, k)
-		}
-	}
+	*st = *src
 }
 
 // sortedHeld returns the held mutexes in canonical order for messages.

@@ -34,6 +34,10 @@ type walker struct {
 	// literals, shared by their walkers: closing one is chanown's
 	// parameter close.
 	params map[*types.Var]bool
+	// branches counts the break, continue and goto statements walked so
+	// far. A loop body that terminates on every path reaches the loop
+	// exit only if it walked one of them.
+	branches int
 }
 
 // walkStmt walks one statement under st, mutating st in place for
@@ -93,6 +97,7 @@ func (w *walker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		// break/continue/goto leave this path; merging their exit state
 		// precisely needs a CFG, so tracking just stops here (the loop
 		// exit conservatively intersects with the loop entry anyway).
+		w.branches++
 		return true
 	case *ast.IfStmt:
 		w.walkStmt(s.Init, st)
@@ -125,15 +130,7 @@ func (w *walker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 			w.walkExpr(s.Cond, st)
 		}
 		w.loops = append(w.loops, w.newLoop(s.Pos(), desc, s.Cond == nil))
-		bodySt := st.clone()
-		if !w.walkStmt(s.Body, bodySt) {
-			w.walkStmt(s.Post, bodySt)
-			// The loop body may run zero times: only locks held both at
-			// entry and at the body's exit survive the loop.
-			st.held = intersectHeld(st.held, bodySt.held)
-		}
-		// Closes in the body may have run, whether or not it terminates.
-		st.joinChans(bodySt)
+		w.walkLoopBody(s.Body, s.Post, st)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.RangeStmt:
 		w.walkExpr(s.X, st)
@@ -149,11 +146,7 @@ func (w *walker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		if l.unbounded {
 			w.block(l.desc, s.Pos(), st, false)
 		}
-		bodySt := st.clone()
-		if !w.walkStmt(s.Body, bodySt) {
-			st.held = intersectHeld(st.held, bodySt.held)
-		}
-		st.joinChans(bodySt)
+		w.walkLoopBody(s.Body, nil, st)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.SwitchStmt:
 		w.walkStmt(s.Init, st)
@@ -203,6 +196,25 @@ func (w *walker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		// semantics.
 	}
 	return false
+}
+
+// walkLoopBody walks a loop's body and post statement on a clone of st
+// and merges what reaches the loop exit into st. The body may run zero
+// times, so only locks held both at entry and at the body's exit
+// survive the loop. Closes in the body reach the exit unless every path
+// through it returns: a terminating body that walked a break, continue
+// or goto may leave the loop with them.
+func (w *walker) walkLoopBody(body *ast.BlockStmt, post ast.Stmt, st *flowState) {
+	bodySt := st.clone()
+	branches := w.branches
+	terminated := w.walkStmt(body, bodySt)
+	if !terminated {
+		w.walkStmt(post, bodySt)
+		st.held = intersectHeld(st.held, bodySt.held)
+	}
+	if !terminated || w.branches > branches {
+		st.joinChans(bodySt)
+	}
 }
 
 // walkStmts walks a statement list, stopping at the first statement
