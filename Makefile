@@ -55,10 +55,9 @@ race:
 # session's concurrency tests (engine-backed memoization, the thermal
 # snapshot store's singleflight, batches that share tapes and idle
 # cores), readers sharing one trace tape, the parallel thermal solver's banded
-# sweeps, the run engine, the campaign worker pool (journal writes under
-# commitState.mu) and the checkpoint crash/restore tests that race a
-# snapshotter against live commits. The rest of the experiment suite is
-# serial render code — `make race` covers it.
+# sweeps, the run engine and the campaign worker pool (journal appends
+# under journal.mu). The rest of the experiment suite is serial render
+# code — `make race` covers it.
 race-engine:
 	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/ ./internal/trace/
 	$(GO) test -race -count=1 -run 'Solve|Precondition|SetPower|Clone' ./internal/thermal/
@@ -95,35 +94,34 @@ fmt:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 60s ./internal/trace/
 
-# Crash-safety gate (runs as part of `make test`): SIGKILL a journaled,
-# checkpointed campaign mid-run — no drain, no final flush — then
-# restore and require the final aggregate to be byte-identical to an
-# uninterrupted run of the same grid; then resume from the completed
-# journal and require the same bytes again. The grid carries a
-# deliberately wedged self-test trial, which must be reported hung.
-# Exercises the torn-tail journal recovery, the snapshot/journal offset
-# handshake, the restore merge, journal resume and the watchdog, end to
-# end through the real binary.
+# Crash-safety gate (runs as part of `make test`): SIGKILL a journaled
+# campaign mid-run — no drain, no final flush — then resume and require
+# the final aggregate to be byte-identical to an uninterrupted run of
+# the same grid; then resume again over the completed journal and
+# require the same bytes. The grid carries a deliberately wedged
+# self-test trial, which must be reported hung. Exercises the torn-tail
+# journal recovery, journal resume and the watchdog, end to end through
+# the real binary.
 crash-test: GRID = -bench gzip,mesa -seeds 2 -leadrates 40,80 -n 60000 -workers 2 -livelock-trial -json
 crash-test:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/r3dfault" ./cmd/r3dfault || exit 1; \
 	"$$tmp/r3dfault" $(GRID) > "$$tmp/baseline.json" || exit 1; \
-	"$$tmp/r3dfault" $(GRID) -journal "$$tmp/run.jsonl" -checkpoint "$$tmp/run.ckpt" -checkpoint-every 2 >/dev/null 2>&1 & pid=$$!; \
+	"$$tmp/r3dfault" $(GRID) -journal "$$tmp/run.jsonl" >/dev/null 2>&1 & pid=$$!; \
 	for i in $$(seq 1 400); do \
-		n=$$(wc -l < "$$tmp/run.jsonl" 2>/dev/null || echo 0); \
+		n=$$(wc -l 2>/dev/null < "$$tmp/run.jsonl" || echo 0); \
 		[ "$$n" -ge 3 ] && break; \
 		sleep 0.05; \
 	done; \
 	kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; \
 	lines=$$(wc -l < "$$tmp/run.jsonl"); \
 	[ "$$lines" -lt 10 ] || { echo "crash-test: campaign finished before SIGKILL landed; enlarge the grid"; exit 1; }; \
-	"$$tmp/r3dfault" $(GRID) -journal "$$tmp/run.jsonl" -checkpoint "$$tmp/run.ckpt" -restore > "$$tmp/restored.json" 2> "$$tmp/restore.err" || { echo "crash-test: restore failed"; cat "$$tmp/restore.err"; exit 1; }; \
-	cmp "$$tmp/baseline.json" "$$tmp/restored.json" || { echo "crash-test: restored aggregate not byte-identical to uninterrupted run"; exit 1; }; \
-	grep -q '"status": "hung"' "$$tmp/restored.json" || { echo "crash-test: livelock trial not hung"; exit 1; }; \
 	"$$tmp/r3dfault" $(GRID) -journal "$$tmp/run.jsonl" -resume > "$$tmp/resumed.json" 2> "$$tmp/resume.err" || { echo "crash-test: resume failed"; cat "$$tmp/resume.err"; exit 1; }; \
 	cmp "$$tmp/baseline.json" "$$tmp/resumed.json" || { echo "crash-test: resumed aggregate not byte-identical to uninterrupted run"; exit 1; }; \
-	echo "crash-test: OK (SIGKILLed at $$lines journal lines, restore and resume byte-identical)"
+	grep -q '"status": "hung"' "$$tmp/resumed.json" || { echo "crash-test: livelock trial not hung"; exit 1; }; \
+	"$$tmp/r3dfault" $(GRID) -journal "$$tmp/run.jsonl" -resume > "$$tmp/again.json" 2> "$$tmp/again.err" || { echo "crash-test: second resume failed"; cat "$$tmp/again.err"; exit 1; }; \
+	cmp "$$tmp/baseline.json" "$$tmp/again.json" || { echo "crash-test: second resume not byte-identical to uninterrupted run"; exit 1; }; \
+	echo "crash-test: OK (SIGKILLed at $$lines journal lines, both resumes byte-identical)"
 
 # Daemon robustness gate (runs as part of `make test`): drive a real
 # r3dserve binary over HTTP through its full contract — submit a

@@ -10,19 +10,18 @@
 //	r3dfault -bench gzip -seeds 2 -journal run.jsonl            # first run
 //	r3dfault -bench gzip -seeds 2 -journal run.jsonl -resume    # after ^C
 //
-// Crash safety: -journal makes every completed trial durable; adding
-// -checkpoint layers periodic snapshots of the aggregate on top, so a
-// later -restore replays only the journal suffix written after the last
-// snapshot. SIGINT/SIGTERM drain gracefully — in-flight trials finish,
-// the journal is flushed, a final snapshot commits — and the process
-// exits 130 with a resumable state (a second signal exits immediately).
-// -shadow re-verifies a deterministic fraction of restored trials by
-// re-running them and byte-comparing the outcomes (the paper's RMT idea
-// applied to the harness's own state).
+// Crash safety: -journal makes every completed trial durable, and a
+// later -resume re-runs only the trials the journal does not hold.
+// SIGINT/SIGTERM drain gracefully — in-flight trials finish and the
+// journal is flushed — and the process exits 130 with a resumable state
+// (a second signal exits immediately). -shadow re-verifies a
+// deterministic fraction of resumed trials by re-running them and
+// byte-comparing the outcomes (the paper's RMT idea applied to the
+// harness's own state).
 //
 // Trial failures are data: a campaign whose trials hang or crash still
 // reports them in the aggregate and exits 0. Only harness errors (bad
-// flags, journal mismatch, a foreign checkpoint, I/O) exit non-zero.
+// flags, journal mismatch, I/O) exit non-zero.
 package main
 
 import (
@@ -61,10 +60,7 @@ func main() {
 	retries := flag.Int("retries", 1, "max retries for trials the watchdog reports hung")
 	journal := flag.String("journal", "", "JSONL journal path (enables interruption-safe runs)")
 	resume := flag.Bool("resume", false, "reuse completed trials from the journal")
-	checkpoint := flag.String("checkpoint", "", "periodic aggregate-snapshot path (with -journal: restore replays only the post-snapshot suffix)")
-	ckptEvery := flag.Int("checkpoint-every", campaign.DefaultCheckpointEvery, "trials between snapshots")
-	restore := flag.Bool("restore", false, "restore from -checkpoint (and/or -journal), re-running only missing trials")
-	shadow := flag.Float64("shadow", 0, "fraction of restored trials to re-verify by re-execution (0..1)")
+	shadow := flag.Float64("shadow", 0, "fraction of resumed trials to re-verify by re-execution (0..1)")
 	jsonOut := flag.Bool("json", false, "emit the aggregated report as JSON instead of a table")
 	noRetire := flag.Uint64("noretire", 0, "watchdog no-retire deadline in cycles (0 = default)")
 	wallTimeout := flag.Duration("walltimeout", 0, "host-clock stall guard per trial (0 = off; trades determinism of pathological runs for liveness)")
@@ -107,9 +103,9 @@ func main() {
 	}
 
 	// Graceful drain: the first SIGINT/SIGTERM closes stop — in-flight
-	// trials finish, the journal flushes, a final snapshot commits — and
-	// the run exits 130 resumable. A second signal aborts immediately
-	// (the journal still recovers everything already committed).
+	// trials finish and the journal flushes — and the run exits 130
+	// resumable. A second signal aborts immediately (the journal still
+	// recovers everything already committed).
 	stop := make(chan struct{})
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -122,17 +118,14 @@ func main() {
 	}()
 
 	rep, err := campaign.Run(campaign.Config{
-		Workers:         *workers,
-		MaxRetries:      *retries,
-		JournalPath:     *journal,
-		Resume:          *resume,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *ckptEvery,
-		Restore:         *restore,
-		ShadowFraction:  *shadow,
-		Stop:            stop,
-		Watchdog:        campaign.Watchdog{NoProgressCycles: *noRetire},
-		StallTimeout:    *wallTimeout,
+		Workers:        *workers,
+		MaxRetries:     *retries,
+		JournalPath:    *journal,
+		Resume:         *resume,
+		ShadowFraction: *shadow,
+		Stop:           stop,
+		Watchdog:       campaign.Watchdog{NoProgressCycles: *noRetire},
+		StallTimeout:   *wallTimeout,
 	}, specs)
 	if err != nil {
 		log.Fatal(err)
@@ -144,7 +137,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "SHADOW DIVERGENCE %s:\n  stored:     %s\n  recomputed: %s\n", d.ID, d.Stored, d.Recomputed)
 	}
 	if rep.ShadowChecked > 0 {
-		fmt.Fprintf(os.Stderr, "shadow-verified %d restored trial(s), %d divergence(s)\n",
+		fmt.Fprintf(os.Stderr, "shadow-verified %d resumed trial(s), %d divergence(s)\n",
 			rep.ShadowChecked, len(rep.ShadowDivergences))
 	}
 

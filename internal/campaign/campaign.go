@@ -20,14 +20,10 @@
 //   - every completed trial is journaled as one CRC-guarded JSONL line,
 //     so an interrupted campaign resumes from the partial journal and
 //     the final aggregate is byte-identical to an uninterrupted run;
-//   - the aggregate state is periodically snapshotted through the
-//     internal/ckpt layer (atomic commits, automatic rollback to the
-//     previous snapshot), so restore replays only the journal suffix
-//     written after the last snapshot;
-//   - closing Config.Stop drains gracefully: in-flight trials finish,
-//     the journal is flushed, and a final snapshot commits before Run
-//     returns a partial (resumable) report;
-//   - restored outcomes can be shadow-verified RMT-style: a
+//   - closing Config.Stop drains gracefully: in-flight trials finish
+//     and the journal is flushed before Run returns a partial
+//     (resumable) report;
+//   - resumed outcomes can be shadow-verified RMT-style: a
 //     deterministic fraction is re-executed from scratch in the worker
 //     pool and byte-compared against the stored result, with mismatches
 //     surfaced as structured divergence findings instead of silently
@@ -46,9 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"r3d/internal/backoff"
 	"r3d/internal/core"
-	"r3d/internal/detmap"
 	"r3d/internal/fault"
 	"r3d/internal/iofault"
 	"r3d/internal/nuca"
@@ -183,27 +177,12 @@ type Config struct {
 	MaxRetries int
 	// JournalPath appends one JSONL line per completed trial ("",
 	// disables journaling). With Resume, previously journaled outcomes
-	// are reused instead of re-running their trials.
+	// are reused instead of re-running their trials; the journal is the
+	// campaign's only recovery record.
 	JournalPath string
 	Resume      bool
-	// CheckpointPath enables periodic snapshots of the aggregate state
-	// ("" disables): every CheckpointEvery completed trials, and once
-	// more at the end of the run, the full outcome set plus the journal
-	// offset it covers commits atomically through internal/ckpt.
-	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in completed trials (0
-	// selects DefaultCheckpointEvery). Smaller values shorten the
-	// journal suffix a restore must replay at the cost of more snapshot
-	// I/O.
-	CheckpointEvery int
-	// Restore loads CheckpointPath before running — rolling back to the
-	// previous snapshot if the current one is torn or corrupt — and then
-	// replays only the journal suffix written after it. A snapshot for a
-	// different grid or build fails loudly. Restore implies journal
-	// resume.
-	Restore bool
 	// ShadowFraction in (0,1] enables RMT-style self-verification of
-	// restored state: that fraction of restored outcomes — selected
+	// resumed state: that fraction of journaled outcomes — selected
 	// deterministically by trial-ID hash — is re-executed from scratch
 	// in the worker pool and byte-compared against the stored result.
 	// Divergences land in Report.ShadowDivergences; the stored value
@@ -211,9 +190,9 @@ type Config struct {
 	// silently repair).
 	ShadowFraction float64
 	// Stop, when closed, drains the campaign gracefully: no new trials
-	// are dispatched, in-flight trials finish, the journal is flushed
-	// and a final snapshot commits. The returned report carries
-	// Interrupted=true and only the completed trials.
+	// are dispatched, in-flight trials finish and the journal is
+	// flushed. The returned report carries Interrupted=true and only the
+	// completed trials.
 	Stop     <-chan struct{}
 	Watchdog Watchdog
 	// OnOutcome, when non-nil, observes every freshly executed trial as
@@ -222,9 +201,9 @@ type Config struct {
 	// harness locks held; it must be cheap and concurrency-safe. Progress
 	// reporting is its intended use — it cannot alter outcomes.
 	OnOutcome func(TrialOutcome)
-	// FS is the filesystem every durable artifact (journal, checkpoints)
-	// goes through. nil selects the real filesystem; the chaos harness
-	// injects a seeded fault lattice here.
+	// FS is the filesystem the journal goes through. nil selects the
+	// real filesystem; the chaos harness injects a seeded fault lattice
+	// here.
 	FS iofault.FS
 	// StallTimeout is a host-clock last resort against harness bugs: a
 	// trial goroutine that produces no outcome within this wall time is
@@ -242,11 +221,6 @@ type Config struct {
 // attempt number.
 const retrySeedStride = 1_000_003
 
-// DefaultCheckpointEvery is the snapshot cadence when Config leaves
-// CheckpointEvery zero: frequent enough that a kill loses little replay
-// work, rare enough that snapshot I/O stays invisible next to trials.
-const DefaultCheckpointEvery = 4
-
 type runner struct {
 	cfg     Config
 	wd      Watchdog
@@ -255,11 +229,10 @@ type runner struct {
 
 // Run executes the campaign and aggregates a Report ordered by trial
 // ID. The returned error reports harness failures only (duplicate IDs,
-// journal I/O or mismatch, a foreign checkpoint); trial failures —
-// panics, wedges — are data, carried in the report, and the caller
-// should exit 0 on them. A graceful drain (Config.Stop) is not an
-// error either: the report simply carries Interrupted plus the trials
-// that completed.
+// journal I/O or mismatch); trial failures — panics, wedges — are
+// data, carried in the report, and the caller should exit 0 on them. A
+// graceful drain (Config.Stop) is not an error either: the report
+// simply carries Interrupted plus the trials that completed.
 func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 	seen := make(map[string]bool, len(specs))
 	for _, sp := range specs {
@@ -284,39 +257,16 @@ func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = iofault.OS()
-	}
-
-	// Restore order matters: the snapshot supplies the bulk of the
-	// state plus the journal offset it covers; the journal then replays
-	// only the suffix written after the snapshot. Outcomes journaled
-	// after the snapshot overwrite (identical, by determinism) snapshot
-	// entries harmlessly.
 	var notes []string
 	completed := map[string]TrialOutcome{}
-	var snapOffset int64
-	if cfg.Restore && cfg.CheckpointPath != "" {
-		snap, snapNotes, err := readCheckpoint(fsys, cfg.CheckpointPath, fp)
-		notes = append(notes, snapNotes...)
-		if err != nil {
-			return nil, err
-		}
-		if snap != nil {
-			for _, out := range snap.outcomes {
-				completed[out.ID] = out
-			}
-			snapOffset = snap.journalBytes
-			notes = append(notes, fmt.Sprintf("campaign: restored %d trial outcome(s) from checkpoint %s", len(snap.outcomes), cfg.CheckpointPath))
-		}
-	}
 	var jr *journal
 	if cfg.JournalPath != "" {
+		fsys := cfg.FS
+		if fsys == nil {
+			fsys = iofault.OS()
+		}
 		var fromJournal []TrialOutcome
-		var jnotes []string
-		jr, fromJournal, jnotes, err = openJournal(fsys, cfg.JournalPath, fp, cfg.Resume || cfg.Restore, snapOffset)
-		notes = append(notes, jnotes...)
+		jr, fromJournal, notes, err = openJournal(fsys, cfg.JournalPath, fp, cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
@@ -337,18 +287,6 @@ func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 		if shadowEligible(cfg.ShadowFraction, out) {
 			shadows = append(shadows, i)
 		}
-	}
-
-	st := &commitState{
-		fsys:     fsys,
-		jr:       jr,
-		path:     cfg.CheckpointPath,
-		fp:       fp,
-		every:    cfg.CheckpointEvery,
-		outcomes: completed,
-	}
-	if st.every <= 0 {
-		st.every = DefaultCheckpointEvery
 	}
 
 	// Real trials first, shadow re-verifications after: on a drained
@@ -388,7 +326,9 @@ func Run(cfg Config, specs []TrialSpec) (*Report, error) {
 				}
 				out := r.trialWithTimeout(specs[j.idx])
 				outcomes[j.idx] = out
-				st.commit(out)
+				if jr != nil {
+					jr.append(out)
+				}
 				if cfg.OnOutcome != nil {
 					cfg.OnOutcome(out)
 				}
@@ -408,19 +348,8 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
-	// Commit the final state: journal durable first, then the snapshot
-	// that references it — the ordering a restore depends on.
 	if jr != nil {
 		jr.sync()
-	}
-	st.mu.Lock()
-	if st.path != "" {
-		//lint:ignore blockhold the final checkpoint must pair the journal offset with the aggregate atomically; workers have already drained, so nothing contends
-		st.snapshotLocked()
-	}
-	notes = append(notes, st.notes...)
-	st.mu.Unlock()
-	if jr != nil {
 		if err := jr.close(); err != nil {
 			return nil, err
 		}
@@ -481,67 +410,6 @@ func (r *runner) shadowCheck(spec TrialSpec, stored TrialOutcome) (ShadowDiverge
 		return ShadowDivergence{}, true
 	}
 	return ShadowDivergence{ID: spec.ID, Stored: string(a), Recomputed: string(b)}, false
-}
-
-// commitState serializes the post-trial commit path: journal append,
-// aggregate-state update, and the periodic snapshot that must see the
-// two in lockstep (every outcome inside the snapshot is also inside the
-// journal prefix its offset names).
-type commitState struct {
-	mu    sync.Mutex
-	fsys  iofault.FS // immutable after Run wires it
-	jr    *journal
-	path  string // checkpoint path ("" disables snapshots)
-	fp    string
-	every int
-	// r3dlint:guardedby mu
-	sinceN int
-	// r3dlint:guardedby mu
-	outcomes map[string]TrialOutcome
-	// r3dlint:guardedby mu
-	notes []string
-}
-
-func (st *commitState) commit(out TrialOutcome) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.jr != nil {
-		st.jr.append(out)
-	}
-	st.outcomes[out.ID] = out
-	st.sinceN++
-	if st.path != "" && st.sinceN >= st.every {
-		st.sinceN = 0
-		//lint:ignore blockhold a snapshot must see journal offset and aggregate in lockstep — the invariant restore depends on; cadence is bounded by CheckpointEvery
-		st.snapshotLocked()
-	}
-}
-
-// checkpointRetry bounds the in-line retry of one snapshot commit
-// against transient storage faults. No sleeping: the commit path is
-// already off the trial hot path, and a fault that outlasts the budget
-// degrades to a note (the journal still restores the campaign).
-var checkpointRetry = backoff.Policy{Attempts: 3}
-
-// snapshotLocked commits one checkpoint of the current aggregate state,
-// retrying transient storage faults. Snapshot failures degrade to notes
-// — the journal alone still restores the campaign, just with a longer
-// replay.
-func (st *commitState) snapshotLocked() {
-	var off int64
-	if st.jr != nil {
-		off = st.jr.bytes()
-	}
-	outs := make([]TrialOutcome, 0, len(st.outcomes))
-	for _, id := range detmap.SortedKeys(st.outcomes) {
-		outs = append(outs, st.outcomes[id])
-	}
-	err := backoff.Retry(checkpointRetry, nil, func() error {
-		return writeCheckpoint(st.fsys, st.path, st.fp, outs, off)
-	})
-	if err != nil {
-		st.notes = append(st.notes, "campaign: checkpoint: "+err.Error())
-	}
 }
 
 // trialWithTimeout wraps runTrial in the optional host-clock stall

@@ -79,6 +79,9 @@ func gridFingerprint(specs []TrialSpec) (string, error) {
 // attempts is modelling a dead device, which must stick as an error.
 var journalRetry = backoff.Policy{Attempts: 3}
 
+// journal is the open journal file. Workers append to it directly; mu
+// serializes them, because concurrent appends must not interleave and a
+// retried append truncates the file back to n.
 type journal struct {
 	mu sync.Mutex
 	f  iofault.File // handle is immutable after openJournal; writes serialize on mu
@@ -95,13 +98,10 @@ type journal struct {
 // validated against the grid fingerprint, truncated past any torn or
 // corrupt suffix, and its outcomes returned in journal order; a missing
 // or empty file degrades to a fresh start so resuming is safe on the
-// first run too. fromOffset > 0 skips records before that byte offset
-// (the checkpoint restore path: the snapshot already vouches for the
-// prefix, so only the suffix replays); an offset the journal cannot
-// honor falls back to a full replay with an explanatory note.
-func openJournal(fsys iofault.FS, path string, fingerprint string, resume bool, fromOffset int64) (*journal, []TrialOutcome, []string, error) {
+// first run too.
+func openJournal(fsys iofault.FS, path string, fingerprint string, resume bool) (*journal, []TrialOutcome, []string, error) {
 	if resume {
-		done, validLen, exists, notes, err := readJournal(fsys, path, fingerprint, fromOffset)
+		done, validLen, exists, notes, err := readJournal(fsys, path, fingerprint)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -142,7 +142,7 @@ func openJournal(fsys iofault.FS, path string, fingerprint string, resume bool, 
 // header or fingerprint is an error. Torn or checksum-failing records —
 // and everything after them — are reported in notes and excluded, so
 // their trials re-run.
-func readJournal(fsys iofault.FS, path string, fingerprint string, fromOffset int64) ([]TrialOutcome, int64, bool, []string, error) {
+func readJournal(fsys iofault.FS, path string, fingerprint string) ([]TrialOutcome, int64, bool, []string, error) {
 	data, err := fsys.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, 0, false, nil, nil
@@ -166,22 +166,7 @@ func readJournal(fsys iofault.FS, path string, fingerprint string, fromOffset in
 	}
 
 	var notes []string
-	headerLen := int64(len(line) + 1)
-	validLen := headerLen
-	if fromOffset > headerLen {
-		// The checkpoint path: skip the prefix the snapshot already
-		// holds, but only when the offset is plausible — inside the file
-		// and on a record boundary. Otherwise the journal is shorter than
-		// the snapshot believed (a lost flush), and the only safe move is
-		// a full replay.
-		if fromOffset <= int64(len(data)) && data[fromOffset-1] == '\n' {
-			rest = data[fromOffset:]
-			validLen = fromOffset
-		} else {
-			notes = append(notes, fmt.Sprintf("campaign: journal %s is shorter than the checkpoint recorded (%d bytes < offset %d); replaying the full journal", path, len(data), fromOffset))
-		}
-	}
-
+	validLen := int64(len(line) + 1)
 	var done []TrialOutcome
 	for len(rest) > 0 {
 		line, next, ok := cutLine(rest)
@@ -262,7 +247,7 @@ func (j *journal) attemptLocked(line []byte) error {
 		// write, or ENOSPC after a prefix); claw the file back to the
 		// last committed boundary before rewriting.
 		//lint:ignore mutexguard called with mu held; see the function comment
-		if terr := j.f.Truncate(j.n); terr != nil { //lint:ignore blockhold the truncate must run inside the critical section so j.n and the file prefix stay in lockstep for checkpoint offsets
+		if terr := j.f.Truncate(j.n); terr != nil { //lint:ignore blockhold the truncate must run inside the critical section: a retry truncates back to j.n, so no other append may land between them
 			return fmt.Errorf("campaign: trim torn journal suffix: %w", terr)
 		}
 		//lint:ignore mutexguard called with mu held; see the function comment
@@ -272,21 +257,13 @@ func (j *journal) attemptLocked(line []byte) error {
 		//lint:ignore mutexguard called with mu held; see the function comment
 		j.dirty = false
 	}
-	//lint:ignore blockhold the append must commit inside the critical section so j.n and the file prefix stay in lockstep for checkpoint offsets
+	//lint:ignore blockhold the append must commit inside the critical section: concurrent appends must not interleave, and j.n must match the file prefix a retry truncates back to
 	if _, werr := j.f.Write(line); werr != nil {
 		//lint:ignore mutexguard called with mu held; see the function comment
 		j.dirty = true
 		return werr
 	}
 	return nil
-}
-
-// bytes returns the committed byte length — the offset a checkpoint
-// records so restore can replay only the suffix written after it.
-func (j *journal) bytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
 }
 
 // sync flushes the journal to stable storage (the graceful-drain path).

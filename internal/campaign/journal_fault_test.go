@@ -84,7 +84,7 @@ func journalOutcome(i int) TrialOutcome {
 // returns the file bytes.
 func writeJournal(t *testing.T, fsys iofault.FS, path string, count int) []byte {
 	t.Helper()
-	jr, _, _, err := openJournal(fsys, path, "fp", false, 0)
+	jr, _, _, err := openJournal(fsys, path, "fp", false)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestJournalENOSPCMidRecordTruncatesAndResumesByteIdentical(t *testing.T) {
 				fail[w] = scriptedFault{prefix: 11, kind: kind, class: iofault.ClassTransient}
 			}
 			sfs := &scriptedFS{inner: m, fail: fail}
-			jr, _, _, err := openJournal(sfs, "/d/j", "fp", false, 0)
+			jr, _, _, err := openJournal(sfs, "/d/j", "fp", false)
 			if err != nil {
 				t.Fatalf("open journal: %v", err)
 			}
@@ -159,7 +159,7 @@ func TestJournalENOSPCMidRecordTruncatesAndResumesByteIdentical(t *testing.T) {
 			}
 
 			// Resume: the torn suffix truncates, t3 re-runs, bytes converge.
-			jr2, done, notes, err := openJournal(m, "/d/j", "fp", true, 0)
+			jr2, done, notes, err := openJournal(m, "/d/j", "fp", true)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -188,7 +188,7 @@ func TestJournalPermanentWriteFaultSticksImmediately(t *testing.T) {
 	sfs := &scriptedFS{inner: m, fail: map[int]scriptedFault{
 		2: {prefix: 0, kind: iofault.KindWriteErr, class: iofault.ClassPermanent},
 	}}
-	jr, _, _, err := openJournal(sfs, "/d/j", "fp", false, 0)
+	jr, _, _, err := openJournal(sfs, "/d/j", "fp", false)
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}

@@ -3,17 +3,12 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
-
-	"r3d/internal/ckpt"
-	"r3d/internal/core"
 )
 
 // runBaseline computes the uninterrupted aggregate the recovery tests
@@ -38,42 +33,6 @@ func reportJSON(t *testing.T, rep *Report) []byte {
 		t.Fatal(err)
 	}
 	return enc
-}
-
-func TestCheckpointRestoreSkipsJournalPrefix(t *testing.T) {
-	specs := testSpecs(t)
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "campaign.jsonl")
-	snap := filepath.Join(dir, "campaign.ckpt")
-	want := runBaseline(t, specs)
-
-	cfg := Config{Workers: 2, Watchdog: fastWatchdog, JournalPath: journal, CheckpointPath: snap, CheckpointEvery: 3}
-	if _, err := Run(cfg, specs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(snap); err != nil {
-		t.Fatalf("no checkpoint written: %v", err)
-	}
-
-	// Restore over the complete journal+checkpoint: zero trials re-run,
-	// byte-identical aggregate.
-	var builds atomic.Int64
-	counting := func(spec TrialSpec) (*core.System, error) {
-		builds.Add(1)
-		return BuildSystem(spec)
-	}
-	cfg.Restore = true
-	cfg.Builder = counting
-	rep, err := Run(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if builds.Load() != 0 {
-		t.Errorf("restore from a complete state still rebuilt %d systems", builds.Load())
-	}
-	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
-		t.Errorf("restored aggregate differs from uninterrupted run:\n%s\n--- vs ---\n%s", got, want)
-	}
 }
 
 func TestChecksumMismatchMidJournalReRunsSuffix(t *testing.T) {
@@ -123,108 +82,16 @@ func TestChecksumMismatchMidJournalReRunsSuffix(t *testing.T) {
 	}
 }
 
-func TestTruncatedCheckpointHeaderRecovers(t *testing.T) {
-	specs := testSpecs(t)
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "campaign.jsonl")
-	snap := filepath.Join(dir, "campaign.ckpt")
-	want := runBaseline(t, specs)
-
-	cfg := Config{Workers: 2, Watchdog: fastWatchdog, JournalPath: journal, CheckpointPath: snap, CheckpointEvery: 2}
-	if _, err := Run(cfg, specs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate the checkpoint mid-header (a torn final commit). Restore
-	// must detect it, fall back (previous generation or journal), and
-	// still converge to the uninterrupted aggregate.
-	data, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snap, data[:20], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Restore = true
-	rep, err := Run(cfg, specs)
-	if err != nil {
-		t.Fatalf("truncated checkpoint must be recovered from, not fatal: %v", err)
-	}
-	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
-		t.Errorf("aggregate after checkpoint truncation differs:\n%s\n--- vs ---\n%s", got, want)
-	}
-}
-
-func TestCheckpointFingerprintMismatchIsLoud(t *testing.T) {
-	specs := testSpecs(t)
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "campaign.ckpt")
-
-	if _, err := Run(Config{Workers: 2, Watchdog: fastWatchdog, CheckpointPath: snap}, specs[:4]); err != nil {
-		t.Fatal(err)
-	}
-	// Same checkpoint path, different grid: the fingerprint must reject
-	// it loudly instead of silently merging foreign outcomes.
-	_, err := Run(Config{Workers: 2, Watchdog: fastWatchdog, CheckpointPath: snap, Restore: true}, specs)
-	if err == nil {
-		t.Fatal("restore accepted a checkpoint written for a different grid")
-	}
-	var mm *ckpt.MismatchError
-	if !errors.As(err, &mm) {
-		t.Errorf("grid mismatch surfaced as %v, want *ckpt.MismatchError", err)
-	}
-}
-
-func TestJournalShorterThanCheckpointFallsBackToFullReplay(t *testing.T) {
-	// The kill window between a snapshot commit and the journal flush it
-	// recorded: on restore the journal is shorter than the snapshot's
-	// offset. The snapshot still vouches for its own outcomes; the
-	// journal replays from the top (overwriting identically); nothing is
-	// lost and nothing fatal happens.
-	specs := testSpecs(t)
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "campaign.jsonl")
-	snap := filepath.Join(dir, "campaign.ckpt")
-	want := runBaseline(t, specs)
-
-	cfg := Config{Workers: 1, Watchdog: fastWatchdog, JournalPath: journal, CheckpointPath: snap, CheckpointEvery: len(specs)}
-	if _, err := Run(cfg, specs); err != nil {
-		t.Fatal(err)
-	}
-	// The final snapshot covers the whole journal; chop the journal back
-	// so its length is far below the snapshot's recorded offset.
-	chopJournal(t, journal, 2)
-
-	cfg.Restore = true
-	rep, err := Run(cfg, specs)
-	if err != nil {
-		t.Fatalf("journal-shorter-than-snapshot must be recovered from: %v", err)
-	}
-	if got := reportJSON(t, rep); !bytes.Equal(want, got) {
-		t.Errorf("aggregate differs after lost-flush recovery:\n%s\n--- vs ---\n%s", got, want)
-	}
-	found := false
-	for _, note := range rep.Notes {
-		if strings.Contains(note, "shorter than the checkpoint recorded") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("lost-flush fallback must be reported in notes: %q", rep.Notes)
-	}
-}
-
+// TestGracefulDrainThenRestoreIsByteIdentical drains a journaled
+// campaign at once, then restores it by resuming from the journal.
 func TestGracefulDrainThenRestoreIsByteIdentical(t *testing.T) {
 	specs := testSpecs(t)
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "campaign.jsonl")
-	snap := filepath.Join(dir, "campaign.ckpt")
+	journal := filepath.Join(t.TempDir(), "campaign.jsonl")
 	want := runBaseline(t, specs)
 
 	stop := make(chan struct{})
 	close(stop) // drain immediately: at most the in-flight trials finish
-	cfg := Config{Workers: 1, Watchdog: fastWatchdog, JournalPath: journal, CheckpointPath: snap, Stop: stop}
+	cfg := Config{Workers: 1, Watchdog: fastWatchdog, JournalPath: journal, Stop: stop}
 	partial, err := Run(cfg, specs)
 	if err != nil {
 		t.Fatalf("graceful drain is not an error: %v", err)
@@ -233,20 +100,20 @@ func TestGracefulDrainThenRestoreIsByteIdentical(t *testing.T) {
 		t.Error("drained run must report Interrupted")
 	}
 	if len(partial.Trials) >= len(specs) {
-		t.Fatalf("drain finished all %d trials; nothing left to test restore with", len(specs))
+		t.Fatalf("drain finished all %d trials; nothing left to test resume with", len(specs))
 	}
 
 	cfg.Stop = nil
-	cfg.Restore = true
+	cfg.Resume = true
 	resumed, err := Run(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resumed.Interrupted {
-		t.Error("completed restore must not report Interrupted")
+		t.Error("completed resume must not report Interrupted")
 	}
 	if got := reportJSON(t, resumed); !bytes.Equal(want, got) {
-		t.Errorf("drain+restore aggregate differs from uninterrupted run:\n%s\n--- vs ---\n%s", got, want)
+		t.Errorf("drain+resume aggregate differs from uninterrupted run:\n%s\n--- vs ---\n%s", got, want)
 	}
 }
 

@@ -48,16 +48,16 @@ type Report struct {
 	Trials  []TrialOutcome `json:"trials"`
 	Summary Summary        `json:"summary"`
 	// Interrupted marks a gracefully drained run: the report covers only
-	// the trials that finished, and the journal/checkpoint can resume it.
+	// the trials that finished, and the journal can resume it.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// ShadowDivergences lists restored outcomes (ID-sorted) that failed
+	// ShadowDivergences lists resumed outcomes (ID-sorted) that failed
 	// re-verification.
 	ShadowDivergences []ShadowDivergence `json:"shadow_divergences,omitempty"`
 	// ShadowChecked counts shadow re-verifications actually executed.
 	// Diagnostic only — excluded from the canonical encoding.
 	ShadowChecked int `json:"-"`
-	// Notes carries restore/checkpoint diagnostics for the caller to
-	// surface on stderr; like ShadowChecked it never reaches the JSON.
+	// Notes carries resume diagnostics for the caller to surface on
+	// stderr; like ShadowChecked it never reaches the JSON.
 	Notes []string `json:"-"`
 }
 
@@ -148,10 +148,10 @@ func (r *Report) Table() string {
 	fmt.Fprintf(&b, "injected %d lead + %d RF (%d MBUs), detected %d, unrecovered %d, mean coverage %.2f\n",
 		s.LeadInjected, s.RFInjected, s.MBUs, s.Detected, s.Unrecovered, s.MeanCoverage)
 	if r.Interrupted {
-		fmt.Fprintf(&b, "interrupted: drained gracefully; resume with -restore to finish the grid\n")
+		fmt.Fprintf(&b, "interrupted: drained gracefully; resume with -resume to finish the grid\n")
 	}
 	if r.ShadowChecked > 0 {
-		fmt.Fprintf(&b, "shadow-verified %d restored outcome(s), %d divergence(s)\n",
+		fmt.Fprintf(&b, "shadow-verified %d resumed outcome(s), %d divergence(s)\n",
 			r.ShadowChecked, len(r.ShadowDivergences))
 	}
 	for _, d := range r.ShadowDivergences {

@@ -75,7 +75,7 @@ type Result struct {
 	// the determinism scenario.
 	Aggregate []byte
 	// Notes records recoveries the scenario observed (torn records
-	// truncated, checkpoints rolled back, journals refused and dropped).
+	// truncated, journals refused and dropped).
 	Notes []string
 }
 
@@ -95,10 +95,10 @@ func Scenarios() []Scenario {
 	}
 }
 
-// chaosGrid is the small campaign every crash/resume cycle replays: two
-// trials whose seeds vary with the chaos seed, heavy enough to cross
-// several journal appends and checkpoint commits, light enough to rerun
-// dozens of times per sweep.
+// chaosGrid is the small campaign every crash/resume cycle replays:
+// three trials whose seeds vary with the chaos seed, heavy enough to
+// cross several journal appends, light enough to rerun dozens of times
+// per sweep.
 func chaosGrid(seed int64) campaign.Grid {
 	v := seed % 5
 	if v < 0 {
@@ -128,16 +128,16 @@ func chaosSchedule(rng *rand.Rand, seed int64, cycle int) iofault.Schedule {
 		RenameErr:   rng.Float64() * 0.03,
 		SlowIO:      rng.Float64() * 0.05,
 		SlowIONanos: 1_000,
-		// The crash window starts inside the first trials' journal and
-		// checkpoint traffic and recedes ~30 ops per cycle, so early
-		// cycles genuinely kill the run and a later one outruns the cliff.
-		CrashAtOp: 3 + rng.Int63n(20) + int64(cycle)*30,
+		// A clean run makes seven journal operations (create, header,
+		// three appends, sync, close). The crash window starts inside
+		// them and recedes five ops per cycle, so early cycles genuinely
+		// kill the run and a later one outruns the cliff.
+		CrashAtOp: 2 + rng.Int63n(5) + int64(cycle)*5,
 	}
 }
 
 const (
 	campaignJournal = "/campaign/journal.jsonl"
-	campaignCkpt    = "/campaign/aggregate.ckpt"
 	maxCycles       = 6
 )
 
@@ -158,8 +158,8 @@ func CampaignCrashResume(opts Options) (*Result, error) {
 	// Baseline: the same grid, uninterrupted, on a clean filesystem.
 	baseRep, err := campaign.Run(campaign.Config{
 		Workers:     1,
-		JournalPath: campaignJournal, CheckpointPath: campaignCkpt,
-		FS: iofault.NewMemFS(),
+		JournalPath: campaignJournal,
+		FS:          iofault.NewMemFS(),
 	}, specs)
 	if err != nil {
 		return res, fmt.Errorf("chaos: baseline campaign: %w", err)
@@ -177,11 +177,10 @@ func CampaignCrashResume(opts Options) (*Result, error) {
 		ffs := iofault.NewFaultFS(mem, sched, opts.Sleep)
 		rep, runErr := campaign.Run(campaign.Config{
 			Workers:     1,
-			JournalPath: campaignJournal, CheckpointPath: campaignCkpt,
-			CheckpointEvery: 2, // frequent snapshots = more commit traffic under fire
-			Resume:          cycle > 0, Restore: cycle > 0,
-			FS:   ffs,
-			Stop: ffs.Crashed(),
+			JournalPath: campaignJournal,
+			Resume:      cycle > 0,
+			FS:          ffs,
+			Stop:        ffs.Crashed(),
 		}, specs)
 		res.Cycles++
 		for _, line := range ffs.LogLines() {
@@ -216,18 +215,17 @@ func CampaignCrashResume(opts Options) (*Result, error) {
 	// must complete the grid without loading torn state.
 	cleanCfg := campaign.Config{
 		Workers:     1,
-		JournalPath: campaignJournal, CheckpointPath: campaignCkpt,
-		CheckpointEvery: 2,
-		Resume:          true, Restore: true,
-		FS: mem,
+		JournalPath: campaignJournal,
+		Resume:      true,
+		FS:          mem,
 	}
 	rep, runErr := campaign.Run(cleanCfg, specs)
 	if runErr != nil {
 		// The journal's loud-refusal path: durably corrupted framing (a
 		// bit-flipped header a kill made permanent) is detected, never
 		// silently replayed. The operator action it demands — a fresh
-		// journal path — is modelled by dropping the file; the checkpoint
-		// and recomputation still converge on the identical aggregate.
+		// journal path — is modelled by dropping the file; recomputation
+		// still converges on the identical aggregate.
 		res.Notes = append(res.Notes, fmt.Sprintf("clean resume refused: %v; dropping journal per its recovery contract", runErr))
 		if rerr := mem.Remove(campaignJournal); rerr != nil && !os.IsNotExist(rerr) {
 			return res, fmt.Errorf("chaos: drop refused journal: %w", rerr)

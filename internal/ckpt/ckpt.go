@@ -4,7 +4,7 @@
 //
 // The paper's premise is a redundant checker that validates a leading
 // core's results before they become architecturally visible; ckpt plays
-// the same role for long-running campaigns and memoized experiment
+// the same role for the daemon's job store and memoized experiment
 // state. A checkpoint is never trusted on faith: every record carries a
 // CRC32, the file carries a schema version plus a caller-supplied kind
 // and fingerprint, and a trailer pins the record count and a running
@@ -45,7 +45,7 @@ const (
 )
 
 // Meta identifies what a checkpoint holds. Kind names the schema (e.g.
-// "campaign-aggregate"); Fingerprint ties the file to the exact inputs
+// "serve-jobstore"); Fingerprint ties the file to the exact inputs
 // it was derived from (a grid hash, a quality hash). Load refuses a
 // file whose meta does not match, so restoring against the wrong world
 // fails loudly instead of mixing record schemas.
