@@ -174,6 +174,11 @@ func TestConcurrentThermalSolves(t *testing.T) {
 	if th.Hits == 0 {
 		t.Errorf("concurrent repeats produced no snapshot hits: %+v", th)
 	}
+	// Every SolveThermal call, those PrefetchThermal makes included, is
+	// counted exactly once: as a solve, a hit or a join.
+	if calls := int64(rounds * 2 * len(cases)); th.Solves+th.Hits+th.Joins != calls {
+		t.Errorf("Solves+Hits+Joins = %d, want one per SolveThermal call (%d): %+v", th.Solves+th.Hits+th.Joins, calls, th)
+	}
 
 	// A fresh serial session must publish bit-identical snapshots: the
 	// solve is a pure function of the case, not of the schedule.
