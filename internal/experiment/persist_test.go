@@ -11,6 +11,7 @@ import (
 	"r3d/internal/ckpt"
 	"r3d/internal/nuca"
 	"r3d/internal/power"
+	"r3d/internal/runsched"
 )
 
 // tinyQuality keeps persistence tests fast: two benchmarks, small
@@ -266,13 +267,14 @@ func TestShadowRecomputesSharedWindowsFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.simMu.Lock()
-	if _, ok := s.sims[spec]; !ok {
-		s.simMu.Unlock()
+	notMemoized := func() (runValue, error) { return runValue{}, errors.New("not memoized") }
+	if _, how, _ := s.sims.Do(spec, notMemoized); how != runsched.Hit {
 		t.Fatal("the twin's simulation is not in the memo under the default variant's spec")
 	}
-	s.sims[spec] = runValue{rmt: *ce.RMT}
-	s.simMu.Unlock()
+	s.sims = runsched.Flight[windowSpec, runValue]{}
+	if _, _, err := s.sims.Do(spec, func() (runValue, error) { return runValue{rmt: *ce.RMT}, nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := s.eng.Get(key); err != nil {
 		t.Fatal(err)

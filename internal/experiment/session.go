@@ -119,24 +119,20 @@ type runValue struct {
 // persisted under its own name. Thermal solves are memoized the same
 // way: each distinct case (geometry + power maps) is a pure function of
 // its key, solved once on a private State over a shared immutable
-// thermal.Model and published as an immutable snapshot. Neither simMu
-// nor thermalMu is held across a simulation or a solve, so independent
-// windows and thermal cases run concurrently.
+// thermal.Model and published as an immutable snapshot. The window
+// memo, the snapshot store and the model cache are each a
+// runsched.Flight, which holds no lock across a simulation, a solve or
+// a model build, so independent windows and thermal cases run
+// concurrently.
 type Session struct {
 	Q   Quality
 	eng *runsched.Engine[RunKey, runValue]
 
-	// simMu guards the window memo and the batch set-up (the five
-	// fields below). Simulations run outside the lock.
+	// sims holds each simulation by the spec it ran.
+	sims runsched.Flight[windowSpec, runValue]
+	// simMu guards the shared marks and the batch set-up (the three
+	// fields below).
 	simMu sync.Mutex
-	// sims holds each finished simulation by the spec it ran.
-	// r3dlint:guardedby simMu
-	sims map[windowSpec]runValue
-	// simInflight marks specs being simulated right now; keys that
-	// resolve to one of them wait for the channel to close, which
-	// happens after the value is published (or, on error, withdrawn).
-	// r3dlint:guardedby simMu
-	simInflight map[windowSpec]chan struct{}
 	// shared marks the computed keys whose value came from another
 	// key's simulation.
 	// r3dlint:guardedby simMu
@@ -149,22 +145,12 @@ type Session struct {
 	// r3dlint:guardedby simMu
 	setup *setUp
 
-	// thermalMu guards the thermal snapshot store (the four fields
-	// below). Solves run outside the lock on private states.
-	thermalMu sync.Mutex
-	// models caches immutable thermal models per stack geometry.
-	// r3dlint:guardedby thermalMu
-	models map[string]*thermal.Model
-	// thermalSnaps holds the published solve per case key.
-	// r3dlint:guardedby thermalMu
-	thermalSnaps map[thermalKey]*thermalSnapshot
-	// thermalInflight marks cases being solved right now; late arrivals
-	// join by waiting on the call's done channel.
-	// r3dlint:guardedby thermalMu
-	thermalInflight map[thermalKey]*thermalCall
-	// thermalStats counts store traffic (solves, hits, joins, iterations).
-	// r3dlint:guardedby thermalMu
-	thermalStats ThermalStats
+	// snapshots holds the published solve per case key, and models the
+	// immutable thermal model per stack geometry.
+	snapshots runsched.Flight[thermalKey, *thermalSnapshot]
+	models    runsched.Flight[string, *thermal.Model]
+	// thermalCount counts the snapshot store's traffic (ThermalStats).
+	thermalCount struct{ solves, hits, joins, fineIters, coarseIters atomic.Int64 }
 
 	// thermalWarn counts solves that hit ThermalMaxIters before reaching
 	// ThermalTolC (see ThermalResult.Converged).
@@ -198,15 +184,7 @@ func NewSession(q Quality) *Session {
 // batches fan out across opts.Workers; output is byte-identical for any
 // worker count.
 func NewSessionWith(q Quality, opts SessionOptions) *Session {
-	s := &Session{
-		Q:               q,
-		sims:            map[windowSpec]runValue{},
-		simInflight:     map[windowSpec]chan struct{}{},
-		shared:          map[RunKey]bool{},
-		models:          map[string]*thermal.Model{},
-		thermalSnaps:    map[thermalKey]*thermalSnapshot{},
-		thermalInflight: map[thermalKey]*thermalCall{},
-	}
+	s := &Session{Q: q, shared: map[RunKey]bool{}}
 	engOpts := runsched.Options[RunKey, runValue]{
 		Workers: opts.Workers,
 		Compare: CompareRunKeys,

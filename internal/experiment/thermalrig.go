@@ -10,6 +10,7 @@ import (
 	"r3d/internal/floorplan"
 	"r3d/internal/noc"
 	"r3d/internal/power"
+	"r3d/internal/runsched"
 	"r3d/internal/thermal"
 )
 
@@ -130,12 +131,6 @@ type thermalSnapshot struct {
 	res   ThermalResult
 }
 
-// thermalCall marks an in-flight solve; done is closed after the
-// snapshot is published (or, on error, after the call is withdrawn).
-type thermalCall struct {
-	done chan struct{}
-}
-
 // fingerprintGrids hashes the power grids (with the geometry string) to
 // the snapshot key. Row-major over float bits, so any two cases that
 // would install identical power maps on an identical stack share a key.
@@ -187,58 +182,27 @@ func (s *Session) solveThermal(c ThermalCase, withState bool) (*thermal.State, T
 	geom := thermalGeomKey(fp, thermal.GridResolution)
 	key := thermalKey{geom: geom, fp: fingerprintGrids(geom, grids)}
 
-	for {
-		s.thermalMu.Lock()
-		if snap, ok := s.thermalSnaps[key]; ok {
-			s.thermalStats.Hits++
-			s.thermalMu.Unlock()
-			return snapState(snap, withState), snap.res, nil
-		}
-		if call, ok := s.thermalInflight[key]; ok {
-			s.thermalStats.Joins++
-			s.thermalMu.Unlock()
-			<-call.done
-			// The computer either published the snapshot before closing
-			// done, or withdrew on error — in which case loop around and
-			// compute it ourselves.
-			s.thermalMu.Lock()
-			snap, ok := s.thermalSnaps[key]
-			s.thermalMu.Unlock()
-			if ok {
-				return snapState(snap, withState), snap.res, nil
-			}
-			continue
-		}
-		call := &thermalCall{done: make(chan struct{})}
-		s.thermalInflight[key] = call
-		m := s.modelForLocked(geom, func() thermal.Config { return stackFor(fp, thermal.GridResolution) })
-		s.thermalMu.Unlock()
-
-		snap, err := s.computeThermal(m, fp, grids)
-		s.thermalMu.Lock()
-		if err == nil {
-			s.thermalSnaps[key] = snap
-			s.thermalStats.Solves++
-			s.thermalStats.FineIters += int64(snap.res.Iters)
-			s.thermalStats.CoarseIters += int64(snap.res.CoarseIters)
-		}
-		delete(s.thermalInflight, key)
-		s.thermalMu.Unlock()
-		close(call.done)
-		if err != nil {
-			return nil, ThermalResult{}, err
-		}
-		return snapState(snap, withState), snap.res, nil
+	snap, how, err := s.snapshots.Do(key, func() (*thermalSnapshot, error) {
+		return s.computeThermal(s.thermalModel(fp, thermal.GridResolution), fp, grids)
+	})
+	n := &s.thermalCount
+	switch {
+	case err != nil:
+		return nil, ThermalResult{}, err
+	case how == runsched.Hit:
+		n.hits.Add(1)
+	case how == runsched.Joined:
+		n.joins.Add(1)
+	default:
+		n.solves.Add(1)
+		n.fineIters.Add(int64(snap.res.Iters))
+		n.coarseIters.Add(int64(snap.res.CoarseIters))
 	}
-}
-
-// snapState clones the published field when the caller asked for one;
-// the snapshot itself stays immutable.
-func snapState(snap *thermalSnapshot, withState bool) *thermal.State {
 	if !withState {
-		return nil
+		return nil, snap.res, nil
 	}
-	return snap.state.Clone()
+	// A private clone: the published snapshot stays immutable.
+	return snap.state.Clone(), snap.res, nil
 }
 
 // computeThermal runs one cold solve — coarse-grid preconditioner, then
@@ -330,35 +294,27 @@ func stackFor(fp *floorplan.Floorplan, res int) thermal.Config {
 	return cfg
 }
 
-// modelForLocked returns the cached immutable model for a geometry,
-// building it on first use. The map is initialized in NewSessionWith
-// (never lazily — a lazy init here raced once Session went concurrent)
-// and the caller must hold s.thermalMu; the returned model is immutable
-// and safe to use after the lock is released.
-func (s *Session) modelForLocked(key string, build func() thermal.Config) *thermal.Model {
-	if m, ok := s.models[key]; ok {
-		return m
-	}
-	m := thermal.NewModel(build())
-	s.models[key] = m
-	return m
-}
-
-// thermalModel returns the cached model for a floorplan geometry at the
-// given resolution (the DTM study reuses steady-state stacks at a
-// coarser transient grid).
+// thermalModel returns the immutable model of a floorplan geometry at
+// the given resolution, built on first use (the DTM study reuses
+// steady-state stacks at a coarser transient grid).
 func (s *Session) thermalModel(fp *floorplan.Floorplan, res int) *thermal.Model {
-	key := thermalGeomKey(fp, res)
-	s.thermalMu.Lock()
-	defer s.thermalMu.Unlock()
-	return s.modelForLocked(key, func() thermal.Config { return stackFor(fp, res) })
+	// The build cannot fail, so Do reports no error.
+	m, _, _ := s.models.Do(thermalGeomKey(fp, res), func() (*thermal.Model, error) {
+		return thermal.NewModel(stackFor(fp, res)), nil
+	})
+	return m
 }
 
 // ThermalStats returns the snapshot-store counters.
 func (s *Session) ThermalStats() ThermalStats {
-	s.thermalMu.Lock()
-	defer s.thermalMu.Unlock()
-	return s.thermalStats
+	n := &s.thermalCount
+	return ThermalStats{
+		Solves:      n.solves.Load(),
+		Hits:        n.hits.Load(),
+		Joins:       n.joins.Load(),
+		FineIters:   n.fineIters.Load(),
+		CoarseIters: n.coarseIters.Load(),
+	}
 }
 
 // PrefetchThermal solves the given cases across a bounded worker pool.

@@ -6,6 +6,7 @@ import (
 	"r3d/internal/core"
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
+	"r3d/internal/runsched"
 	"r3d/internal/trace"
 )
 
@@ -88,35 +89,18 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 	if s.eng.Has(k) {
 		return s.simulate(w, nil)
 	}
-	for {
+	v, how, err := s.sims.Do(w, func() (runValue, error) {
 		s.simMu.Lock()
-		if v, ok := s.sims[w]; ok {
-			s.shared[k] = true
-			s.simMu.Unlock()
-			return v, nil
-		}
-		if done, ok := s.simInflight[w]; ok {
-			s.simMu.Unlock()
-			// The simulating key either published its value before
-			// closing done, or withdrew on error; either way look again.
-			<-done
-			continue
-		}
-		done := make(chan struct{})
-		s.simInflight[w] = done
 		setup := s.setup
 		s.simMu.Unlock()
-
-		v, err := s.simulate(w, setup)
+		return s.simulate(w, setup)
+	})
+	if how != runsched.Computed {
 		s.simMu.Lock()
-		if err == nil {
-			s.sims[w] = v
-		}
-		delete(s.simInflight, w)
+		s.shared[k] = true
 		s.simMu.Unlock()
-		close(done)
-		return v, err
 	}
+	return v, err
 }
 
 // simulate runs one window over the given set-up (nil: from scratch),

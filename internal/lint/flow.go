@@ -81,7 +81,7 @@ const (
 type lockID string
 
 // display shortens a lockID for findings: the part after the last
-// path separator, e.g. "experiment.Session.thermalMu".
+// path separator, e.g. "experiment.Session.simMu".
 func (id lockID) display() string {
 	s := string(id)
 	if i := strings.LastIndexByte(s, '/'); i >= 0 {

@@ -22,6 +22,9 @@
 //
 // compute must not call back into its own engine: a recursive Get from
 // inside compute can join the very call that issued it and deadlock.
+//
+// Flight is the plain per-key memo beside the engine: singleflight that
+// publishes only successful values, with no batches, order or counters.
 package runsched
 
 import (
