@@ -257,17 +257,6 @@ const (
 	L3D2A                 // 15 MB, stacked banks (3d-2a)
 )
 
-func (c L2Config) nucaConfig(p nuca.Policy) nuca.Config {
-	switch c {
-	case L2D2A:
-		return nuca.Config2D2A(p)
-	case L3D2A:
-		return nuca.Config3D2A(p)
-	default:
-		return nuca.Config2DA(p)
-	}
-}
-
 func (c L2Config) String() string {
 	switch c {
 	case L2D2A:

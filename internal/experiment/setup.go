@@ -74,9 +74,15 @@ func (p *setUp) tape(profile trace.Profile, seed int64, add *trace.Tape) *trace.
 	return add
 }
 
-// core returns a cold leading core of cfg over src with a cold L2 of
-// l2cfg: an idle core and its L2 reset, or new ones.
-func (p *setUp) core(cfg ooo.Config, src ooo.InstSource, l2cfg nuca.Config) (*ooo.Core, error) {
+// core returns a cold leading core for window w, over its stream and
+// with a cold L2 of its organization: an idle core and its L2 reset,
+// or new ones.
+func (p *setUp) core(w windowSpec) (*ooo.Core, error) {
+	l2cfg, err := nuca.ByName(w.l2.String(), w.policy)
+	if err != nil {
+		return nil, err
+	}
+	src := p.stream(w.profile, w.seed)
 	var c *ooo.Core
 	if p != nil {
 		p.mu.Lock()
@@ -87,11 +93,11 @@ func (p *setUp) core(cfg ooo.Config, src ooo.InstSource, l2cfg nuca.Config) (*oo
 		p.mu.Unlock()
 	}
 	if c == nil {
-		return ooo.New(cfg, src, nuca.New(l2cfg))
+		return ooo.New(w.lead, src, nuca.New(l2cfg))
 	}
 	l2 := c.L2()
 	l2.Reset(l2cfg)
-	if err := c.Reset(cfg, src, l2); err != nil {
+	if err := c.Reset(w.lead, src, l2); err != nil {
 		return nil, err
 	}
 	return c, nil

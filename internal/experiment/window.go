@@ -116,7 +116,7 @@ func (s *Session) simulate(w windowSpec, setup *setUp) (runValue, error) {
 
 // simulateLeading runs a standalone leading-core window.
 func (s *Session) simulateLeading(w windowSpec, setup *setUp) (LeadRun, error) {
-	c, err := setup.core(w.lead, setup.stream(w.profile, w.seed), w.l2.nucaConfig(w.policy))
+	c, err := setup.core(w)
 	if err != nil {
 		return LeadRun{}, err
 	}
@@ -137,7 +137,7 @@ func (s *Session) simulateLeading(w windowSpec, setup *setUp) (LeadRun, error) {
 
 // simulateRMT runs a coupled leading+checker window.
 func (s *Session) simulateRMT(w windowSpec, setup *setUp) (RMTRun, error) {
-	lead, err := setup.core(w.lead, setup.stream(w.profile, w.seed), w.l2.nucaConfig(w.policy))
+	lead, err := setup.core(w)
 	if err != nil {
 		return RMTRun{}, err
 	}
