@@ -194,11 +194,14 @@ func declParams(pkg *Package, fd *ast.FuncDecl) map[*types.Var]int {
 // suite's call sites share it.
 type ifaceResolver struct {
 	named []*types.Named // every named type declared in the module
+	// impls holds each interface's implementers among named, found
+	// once for all of its methods.
+	impls map[*types.Interface][]*types.Named
 	cache map[*types.Func][]*types.Func
 }
 
 func newIfaceResolver(pkgs []*Package) *ifaceResolver {
-	ir := &ifaceResolver{cache: map[*types.Func][]*types.Func{}}
+	ir := &ifaceResolver{impls: map[*types.Interface][]*types.Named{}, cache: map[*types.Func][]*types.Func{}}
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() { // Names() is sorted
@@ -214,6 +217,22 @@ func newIfaceResolver(pkgs []*Package) *ifaceResolver {
 	return ir
 }
 
+// implementers returns the module's non-interface named types that
+// implement iface, by value or by pointer.
+func (ir *ifaceResolver) implementers(iface *types.Interface) []*types.Named {
+	if impls, ok := ir.impls[iface]; ok {
+		return impls
+	}
+	var impls []*types.Named
+	for _, named := range ir.named {
+		if !types.IsInterface(named) && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+			impls = append(impls, named)
+		}
+	}
+	ir.impls[iface] = impls
+	return impls
+}
+
 // candidates returns the concrete module methods an interface-method
 // call may dispatch to, in declaration order.
 func (ir *ifaceResolver) candidates(m *types.Func) []*types.Func {
@@ -224,15 +243,8 @@ func (ir *ifaceResolver) candidates(m *types.Func) []*types.Func {
 	sig, ok := m.Type().(*types.Signature)
 	if ok && sig.Recv() != nil {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-			for _, named := range ir.named {
-				if types.IsInterface(named) {
-					continue
-				}
-				ptr := types.NewPointer(named)
-				if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(ptr, true, named.Obj().Pkg(), m.Name())
+			for _, named := range ir.implementers(iface) {
+				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), m.Name())
 				if fn, ok := obj.(*types.Func); ok {
 					cands = append(cands, fn)
 				}
