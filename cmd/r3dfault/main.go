@@ -133,15 +133,17 @@ func main() {
 	for _, note := range rep.Notes {
 		fmt.Fprintln(os.Stderr, note)
 	}
-	for _, d := range rep.ShadowDivergences {
-		fmt.Fprintf(os.Stderr, "SHADOW DIVERGENCE %s:\n  stored:     %s\n  recomputed: %s\n", d.ID, d.Stored, d.Recomputed)
-	}
-	if rep.ShadowChecked > 0 {
-		fmt.Fprintf(os.Stderr, "shadow-verified %d resumed trial(s), %d divergence(s)\n",
-			rep.ShadowChecked, len(rep.ShadowDivergences))
-	}
 
 	if *jsonOut {
+		// The table ends with the shadow-verification summary; with
+		// -json, stderr carries its readable copy.
+		for _, d := range rep.ShadowDivergences {
+			fmt.Fprintf(os.Stderr, "SHADOW DIVERGENCE %s:\n  stored:     %s\n  recomputed: %s\n", d.ID, d.Stored, d.Recomputed)
+		}
+		if rep.ShadowChecked > 0 {
+			fmt.Fprintf(os.Stderr, "shadow-verified %d resumed trial(s), %d divergence(s)\n",
+				rep.ShadowChecked, len(rep.ShadowDivergences))
+		}
 		enc, err := rep.JSON()
 		if err != nil {
 			log.Fatal(err)
