@@ -52,14 +52,15 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # Quick race pass over just the concurrent machinery: the experiment
-# session's concurrency tests (engine-backed memoization, the thermal
-# snapshot store's singleflight, batches that share tapes and idle
-# cores), readers sharing one trace tape, the parallel thermal solver's banded
-# sweeps, the run engine and the campaign worker pool (journal appends
-# under journal.mu). The rest of the experiment suite is serial render
-# code — `make race` covers it.
+# session's concurrency and shadow tests (engine-backed memoization,
+# the runsched.Flight memos of windows and thermal snapshots, batches
+# that share tapes and idle cores, shadow recomputes beside the memo),
+# readers sharing one trace tape, the parallel thermal solver's banded
+# sweeps, the run engine and Flight, and the campaign worker pool
+# (journal appends under journal.mu). The rest of the experiment suite
+# is serial render code — `make race` covers it.
 race-engine:
-	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race' ./internal/experiment/ ./internal/trace/
+	$(GO) test -race -count=1 -run 'Concurrent|WorkerCount|Race|Shadow' ./internal/experiment/ ./internal/trace/
 	$(GO) test -race -count=1 -run 'Solve|Precondition|SetPower|Clone' ./internal/thermal/
 	$(GO) test -race -count=1 ./internal/runsched/ ./internal/campaign/ ./internal/ckpt/ ./internal/serve/
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/backoff/ ./internal/chaos/

@@ -201,7 +201,6 @@ func (s *Session) solveThermal(c ThermalCase, withState bool) (*thermal.State, T
 	if !withState {
 		return nil, snap.res, nil
 	}
-	// A private clone: the published snapshot stays immutable.
 	return snap.state.Clone(), snap.res, nil
 }
 
