@@ -21,12 +21,14 @@
 //	r3dbench -memprofile f   # runtime/pprof heap profile, written at exit
 //	                         # after a GC
 //
-// Warm starts: -checkpoint persists every computed simulation window to
-// an atomically committed, CRC-guarded cache file at exit, and
-// -restore preloads it on the next invocation, so repeated runs (or a
-// run resumed after SIGINT) recompute only the windows they are
-// missing. The cache is fingerprinted by quality and build: a stale or
-// foreign cache fails loudly instead of polluting results. -shadow
+// Warm starts: -checkpoint persists every computed simulation window at
+// exit to a cache file of CRC-guarded records, replaced whole and
+// atomically, and -restore preloads its valid records on the next
+// invocation, so repeated runs (or a run resumed after SIGINT)
+// recompute only the windows they are missing; a damaged record and
+// those after it are dropped with a note and recomputed. The cache is
+// fingerprinted by quality and build: a stale or foreign cache fails
+// loudly instead of polluting results. -shadow
 // re-verifies a deterministic fraction of cache hits by recomputing
 // them from scratch and byte-comparing the results; divergences are
 // reported on stderr and exit non-zero.

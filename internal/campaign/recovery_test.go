@@ -134,14 +134,18 @@ func TestShadowVerificationDetectsTamperedOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
+	type record struct {
+		CRC  string          `json:"crc"`
+		Data json.RawMessage `json:"data"`
+	}
 	var tamperedID string
 	for i := 1; i < len(lines) && tamperedID == ""; i++ {
-		var rec journalRecord
+		var rec record
 		if err := json.Unmarshal([]byte(lines[i]), &rec); err != nil {
 			t.Fatal(err)
 		}
 		var out TrialOutcome
-		if err := json.Unmarshal(rec.Outcome, &out); err != nil {
+		if err := json.Unmarshal(rec.Data, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Status != StatusOK || out.Result == nil {
@@ -152,7 +156,7 @@ func TestShadowVerificationDetectsTamperedOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc, err := json.Marshal(journalRecord{CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)), Outcome: payload})
+		enc, err := json.Marshal(record{CRC: fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)), Data: payload})
 		if err != nil {
 			t.Fatal(err)
 		}

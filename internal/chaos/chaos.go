@@ -10,12 +10,13 @@
 // every scenario enforces mirror the paper's reliability claims at the
 // harness layer:
 //
-//   - no torn state is ever loaded: restores land on a record boundary
-//     or roll back, never on a fragment;
+//   - no torn state is ever loaded: restores land on a record
+//     boundary, never on a fragment;
 //   - a restored aggregate is byte-identical to an uninterrupted run —
 //     crash-recovery is invisible in the output;
 //   - caches and job stores are never poisoned: corruption (bit flips,
-//     dropped syncs) is detected loudly or rolled back, never served;
+//     dropped syncs) is detected and dropped, or refused loudly, never
+//     served;
 //   - persistent storage failure degrades serving (health flips,
 //     compute continues) instead of crashing it, and recovery re-arms.
 //
@@ -128,11 +129,12 @@ func chaosSchedule(rng *rand.Rand, seed int64, cycle int) iofault.Schedule {
 		RenameErr:   rng.Float64() * 0.03,
 		SlowIO:      rng.Float64() * 0.05,
 		SlowIONanos: 1_000,
-		// A clean run makes seven journal operations (create, header,
-		// three appends, sync, close). The crash window starts inside
-		// them and recedes five ops per cycle, so early cycles genuinely
-		// kill the run and a later one outruns the cliff.
-		CrashAtOp: 2 + rng.Int63n(5) + int64(cycle)*5,
+		// A clean run makes eight journal operations (create, header,
+		// three appends, sync, the directory sync of the new file,
+		// close). The crash window starts inside them and recedes five
+		// ops per cycle, so early cycles genuinely kill the run and a
+		// later one outruns the cliff.
+		CrashAtOp: 2 + rng.Int63n(6) + int64(cycle)*5,
 	}
 }
 

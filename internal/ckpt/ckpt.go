@@ -1,37 +1,44 @@
-// Package ckpt is the repo's crash-safe snapshot layer: checksummed,
-// versioned checkpoint files with atomic temp-file + rename commits and
-// automatic rollback to the last good snapshot.
+// Package ckpt is the repo's one on-disk record format: a CRC-guarded,
+// append-only log. The campaign journal, the daemon's job store and the
+// session window caches are all logs.
 //
 // The paper's premise is a redundant checker that validates a leading
 // core's results before they become architecturally visible; ckpt plays
-// the same role for the daemon's job store and memoized experiment
-// state. A checkpoint is never trusted on faith: every record carries a
-// CRC32, the file carries a schema version plus a caller-supplied kind
-// and fingerprint, and a trailer pins the record count and a running
-// CRC — so a torn write, a flipped bit, or a file from a different grid
-// or build is detected instead of silently merged.
+// the same role for stored state. A record is never trusted on faith:
+// each one carries a CRC32 of its bytes, and the file's header carries a
+// format version plus a caller-supplied kind and fingerprint, so a torn
+// write, a flipped bit, or a file from a different grid or build is
+// detected instead of silently merged.
 //
-// File format (line-oriented JSON, one record per line):
+// File format (line-oriented JSON, one record per line, no trailer):
 //
-//	{"magic":"r3d-ckpt","version":1,"kind":K,"fingerprint":F}
+//	{"magic":"r3d-ckpt","version":2,"kind":K,"fingerprint":F}
 //	{"crc":"<crc32 of data bytes>","data":<record JSON>}
 //	...
-//	{"magic":"r3d-ckpt-end","records":N,"crc":"<running crc32>"}
 //
-// Commit is atomic: the new snapshot is written to a temp file in the
-// same directory, synced, then renamed over the target after rotating
-// the previous snapshot to "<path>.prev". A crash at any instant leaves
-// either the old snapshot, the new one, or (in the window between the
-// two renames) only the .prev — and LoadLatest recovers the last good
-// state in every case.
+// The recovery rule is the same for every log: its content is its
+// longest valid prefix. Reading stops at the first record line that is
+// unterminated, malformed or fails its CRC, and drops that line and
+// everything after it with a note; opening the log to append truncates
+// the file there. That loss is always affordable, because every store
+// on this format can redo what it held: a campaign re-runs the dropped
+// trials, and the job store and window caches recompute dropped entries
+// on demand. A header that cannot be read, or that names another kind,
+// fingerprint or format version, is refused and never truncated.
+//
+// A log grows by Append (with Sync for durability), or is replaced
+// whole by WriteFile, which installs a new file atomically.
 package ckpt
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 
 	"r3d/internal/backoff"
@@ -39,25 +46,23 @@ import (
 )
 
 const (
-	magic        = "r3d-ckpt"
-	trailerMagic = "r3d-ckpt-end"
-	version      = 1
+	magic   = "r3d-ckpt"
+	version = 2
 )
 
-// Meta identifies what a checkpoint holds. Kind names the schema (e.g.
-// "serve-jobstore"); Fingerprint ties the file to the exact inputs
-// it was derived from (a grid hash, a quality hash). Load refuses a
-// file whose meta does not match, so restoring against the wrong world
-// fails loudly instead of mixing record schemas.
+// Meta identifies what a log holds. Kind names the schema (e.g.
+// "serve-jobstore"); Fingerprint ties the file to the exact inputs it
+// was derived from (a grid hash, a quality hash). A file whose meta does
+// not match is refused, so restoring against the wrong world fails
+// loudly instead of mixing record schemas.
 type Meta struct {
 	Kind        string
 	Fingerprint string
 }
 
-// CorruptError reports a checkpoint that is structurally damaged: a
-// torn tail, a checksum mismatch, a truncated header or trailer. A
-// corrupt file is recoverable (roll back to .prev, or rebuild from the
-// journal); a MismatchError is not.
+// CorruptError reports a file with no readable header: empty, torn
+// inside its first line, or not a log at all. Damage after the header
+// is not an error; it is dropped under the recovery rule.
 type CorruptError struct {
 	Path   string
 	Reason string
@@ -67,10 +72,8 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("ckpt: %s is corrupt: %s", e.Path, e.Reason)
 }
 
-// MismatchError reports an intact checkpoint written for a different
-// world: wrong kind, wrong fingerprint, or an unsupported format
-// version. Rollback is deliberately not attempted — the .prev of a
-// foreign file is just as foreign.
+// MismatchError reports an intact log written for a different world:
+// wrong kind, wrong fingerprint, or an unsupported format version.
 type MismatchError struct {
 	Path  string
 	Field string
@@ -94,12 +97,6 @@ type record struct {
 	Data json.RawMessage `json:"data"`
 }
 
-type trailer struct {
-	Magic   string `json:"magic"`
-	Records int    `json:"records"`
-	CRC     string `json:"crc"`
-}
-
 func crcHex(sum uint32) string { return string(appendCRC(nil, sum)) }
 
 // appendCRC appends sum as eight lower-case hex digits.
@@ -111,173 +108,56 @@ func appendCRC(b []byte, sum uint32) []byte {
 	return b
 }
 
-// PrevPath returns the rotation target for path — where Commit parks
-// the previous snapshot and where LoadLatest looks during rollback.
-func PrevPath(path string) string { return path + ".prev" }
-
-// Writer accumulates records for one snapshot. Records are buffered in
-// memory (snapshots are aggregate state, not bulk data) and written in
-// a single atomic Commit.
-type Writer struct {
-	meta    Meta
-	records []json.RawMessage
-	running uint32 // crc32 chained over every record's data bytes
+// appendRecord appends the line that frames data, which must be
+// json.Marshal output. The line is byte for byte what
+// json.Marshal(record{CRC, Data}) gives, because Marshal leaves data it
+// already produced unchanged.
+func appendRecord(b, data []byte) []byte {
+	b = append(b, `{"crc":"`...)
+	b = appendCRC(b, crc32.ChecksumIEEE(data))
+	b = append(b, `","data":`...)
+	b = append(b, data...)
+	return append(b, "}\n"...)
 }
 
-// NewWriter starts an empty snapshot with the given identity.
-func NewWriter(meta Meta) *Writer {
-	return &Writer{meta: meta}
-}
-
-// Append JSON-encodes v as the next record.
-func (w *Writer) Append(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("ckpt: encode record: %w", err)
-	}
-	w.AppendEncoded(data)
-	return nil
-}
-
-// AppendEncoded adds data, which must be json.Marshal's encoding of the
-// record, as the next record, so a caller that keeps a record's bytes
-// between snapshots encodes it once. CommitTo writes data as it is: it
-// relies on json.Marshal's output being compact and HTML-escaped, which
-// marshalling it again as a json.RawMessage would leave unchanged.
-func (w *Writer) AppendEncoded(data []byte) {
-	w.records = append(w.records, data)
-	w.running = crc32.Update(w.running, crc32.IEEETable, data)
-}
-
-// Len returns the number of appended records.
-func (w *Writer) Len() int { return len(w.records) }
-
-// dirSyncRetry bounds the directory-fsync retry inside CommitTo. The
-// sync is retried in-line (no sleeping — commit callers own pacing)
-// because a transient storage fault there would otherwise void the
-// durability promise the atomic rename just made.
-var dirSyncRetry = backoff.Policy{Attempts: 3}
-
-// Commit atomically installs the snapshot at path on the real
-// filesystem. See CommitTo.
-func (w *Writer) Commit(path string) error {
-	return w.CommitTo(iofault.OS(), path)
-}
-
-// CommitTo atomically installs the snapshot at path on fsys: write to a
-// temp file in the same directory, fsync, rotate any existing snapshot
-// to PrevPath(path), then rename the temp file into place and fsync the
-// directory. After CommitTo returns nil the new snapshot is durable and
-// the previous one remains available for rollback.
-func (w *Writer) CommitTo(fsys iofault.FS, path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("ckpt: create temp snapshot: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			// Best-effort cleanup on the failure path; the commit error
-			// already carries the cause.
-			_ = tmp.Close()
-			_ = fsys.Remove(tmp.Name())
-		}
-	}()
-
-	snapshot, err := w.encode()
-	if err != nil {
-		return err
-	}
-	if _, err = tmp.Write(snapshot); err != nil {
-		return fmt.Errorf("ckpt: write snapshot: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("ckpt: sync snapshot: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("ckpt: close snapshot: %w", err)
-	}
-
-	// Rotate current → .prev, then temp → current. A kill between the
-	// two renames leaves only the .prev; LoadLatest rolls back to it.
-	if _, serr := fsys.Stat(path); serr == nil {
-		if err = fsys.Rename(path, PrevPath(path)); err != nil {
-			return fmt.Errorf("ckpt: rotate previous snapshot: %w", err)
-		}
-	}
-	if err = fsys.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("ckpt: install snapshot: %w", err)
-	}
-	// Make the renames durable. A failed directory sync means a crash
-	// could resurrect the old snapshot (or lose this one entirely), so
-	// it is classified, not dropped: transient faults are retried
-	// in-line, and a persistent failure surfaces as a commit error —
-	// the snapshot is visible but its durability is not yet promised.
-	if err = backoff.Retry(dirSyncRetry, nil, func() error { return fsys.SyncDir(dir) }); err != nil {
-		return fmt.Errorf("ckpt: sync snapshot directory: %w", err)
-	}
-	return nil
-}
-
-// encode returns the whole snapshot file: the header line, one line per
-// record and the trailer line. A record line is formatted directly, and
-// is byte for byte what json.Marshal(record{CRC, Data}) gives, because
-// every record's data is already json.Marshal output.
-func (w *Writer) encode() ([]byte, error) {
-	hdr, err := json.Marshal(header{Magic: magic, Version: version, Kind: w.meta.Kind, Fingerprint: w.meta.Fingerprint})
+// headerLine returns meta's header line.
+func headerLine(meta Meta) ([]byte, error) {
+	hdr, err := json.Marshal(header{Magic: magic, Version: version, Kind: meta.Kind, Fingerprint: meta.Fingerprint})
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: encode header: %w", err)
 	}
-	tr, err := json.Marshal(trailer{Magic: trailerMagic, Records: len(w.records), CRC: crcHex(w.running)})
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: encode trailer: %w", err)
-	}
-	const recOpen, recData, recClose = `{"crc":"`, `","data":`, "}\n"
-	size := len(hdr) + len(tr) + 2
-	for _, data := range w.records {
-		size += len(recOpen) + 8 + len(recData) + len(data) + len(recClose)
-	}
-	b := append(make([]byte, 0, size), hdr...)
-	b = append(b, '\n')
-	for _, data := range w.records {
-		b = append(b, recOpen...)
-		b = appendCRC(b, crc32.ChecksumIEEE(data))
-		b = append(b, recData...)
-		b = append(b, data...)
-		b = append(b, recClose...)
-	}
-	b = append(b, tr...)
-	return append(b, '\n'), nil
+	return append(hdr, '\n'), nil
 }
 
-// Snapshot is a loaded, fully validated checkpoint.
-type Snapshot struct {
-	Meta    Meta
-	records []json.RawMessage
+// PrevPath returns path+".prev", where earlier builds kept a replaced
+// file's previous generation. Nothing in this package writes there any
+// more; the name stays for tools that account such files.
+func PrevPath(path string) string { return path + ".prev" }
+
+// Records is the valid prefix of a log.
+type Records struct {
+	// Note says what the load dropped past the valid prefix; it is
+	// empty when every line of the file was valid.
+	Note string
+	data []json.RawMessage
 }
 
 // Len returns the number of records.
-func (s *Snapshot) Len() int { return len(s.records) }
+func (r *Records) Len() int { return len(r.data) }
 
 // Decode unmarshals record i into v.
-func (s *Snapshot) Decode(i int, v any) error {
-	if err := json.Unmarshal(s.records[i], v); err != nil {
+func (r *Records) Decode(i int, v any) error {
+	if err := json.Unmarshal(r.data[i], v); err != nil {
 		return fmt.Errorf("ckpt: decode record %d: %w", i, err)
 	}
 	return nil
 }
 
-// Load reads and validates the snapshot at path on the real
-// filesystem. See LoadFrom.
-func Load(path string, want Meta) (*Snapshot, error) {
-	return LoadFrom(iofault.OS(), path, want)
-}
-
-// LoadFrom reads and validates the snapshot at path on fsys. It returns
-// fs.ErrNotExist (wrapped) when no file exists, a *CorruptError for
-// structural damage, and a *MismatchError for an intact file with the
-// wrong kind, fingerprint or version.
-func LoadFrom(fsys iofault.FS, path string, want Meta) (*Snapshot, error) {
+// LoadFrom reads the log at path on fsys and returns its valid prefix.
+// It returns fs.ErrNotExist (wrapped) when no file exists, a
+// *CorruptError when the header cannot be read, and a *MismatchError
+// for a header with the wrong kind, fingerprint or version.
+func LoadFrom(fsys iofault.FS, path string, want Meta) (*Records, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -285,116 +165,247 @@ func LoadFrom(fsys iofault.FS, path string, want Meta) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("ckpt: read %s: %w", path, err)
 	}
+	recs, _, err := parse(path, data, want)
+	return recs, err
+}
 
-	lines := splitLines(data)
-	if len(lines) == 0 {
-		return nil, &CorruptError{Path: path, Reason: "empty file"}
+// parse validates data as a log written for want, returning the
+// records of its valid prefix and the prefix's length in bytes.
+func parse(path string, data []byte, want Meta) (*Records, int64, error) {
+	if len(data) == 0 {
+		return nil, 0, &CorruptError{Path: path, Reason: "empty file"}
+	}
+	line, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, 0, &CorruptError{Path: path, Reason: "truncated header"}
 	}
 	var hdr header
-	if json.Unmarshal(lines[0], &hdr) != nil || hdr.Magic != magic {
-		if len(lines[0]) == 0 || !complete(data, 0, lines) {
-			return nil, &CorruptError{Path: path, Reason: "truncated header"}
-		}
-		return nil, &CorruptError{Path: path, Reason: "not a checkpoint file"}
+	if json.Unmarshal(line, &hdr) != nil || hdr.Magic != magic {
+		return nil, 0, &CorruptError{Path: path, Reason: "not a checkpoint file"}
 	}
 	if hdr.Version != version {
-		return nil, &MismatchError{Path: path, Field: "format version", Got: fmt.Sprintf("%d", hdr.Version), Want: fmt.Sprintf("%d", version)}
+		return nil, 0, &MismatchError{Path: path, Field: "format version", Got: fmt.Sprint(hdr.Version), Want: fmt.Sprint(version)}
 	}
 	if hdr.Kind != want.Kind {
-		return nil, &MismatchError{Path: path, Field: "kind", Got: hdr.Kind, Want: want.Kind}
+		return nil, 0, &MismatchError{Path: path, Field: "kind", Got: hdr.Kind, Want: want.Kind}
 	}
 	if hdr.Fingerprint != want.Fingerprint {
-		return nil, &MismatchError{Path: path, Field: "fingerprint", Got: hdr.Fingerprint, Want: want.Fingerprint}
+		return nil, 0, &MismatchError{Path: path, Field: "fingerprint", Got: hdr.Fingerprint, Want: want.Fingerprint}
 	}
 
-	if len(lines) < 2 {
-		return nil, &CorruptError{Path: path, Reason: "missing trailer (torn write)"}
-	}
-	var tr trailer
-	last := lines[len(lines)-1]
-	if json.Unmarshal(last, &tr) != nil || tr.Magic != trailerMagic {
-		return nil, &CorruptError{Path: path, Reason: "missing trailer (torn write)"}
-	}
-
-	body := lines[1 : len(lines)-1]
-	if len(body) != tr.Records {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("trailer declares %d records, found %d", tr.Records, len(body))}
-	}
-	var running uint32
-	snap := &Snapshot{Meta: Meta{Kind: hdr.Kind, Fingerprint: hdr.Fingerprint}}
-	for i, line := range body {
+	recs := &Records{}
+	n := int64(len(line) + 1)
+	for len(rest) > 0 {
+		line, next, ok := bytes.Cut(rest, []byte{'\n'})
+		if !ok {
+			// Every record goes down with its newline in one write, so an
+			// unterminated line was never a whole record.
+			recs.Note = fmt.Sprintf("ckpt: %s ends in a torn record (%d bytes); dropped it", path, len(rest))
+			break
+		}
 		var rec record
 		if json.Unmarshal(line, &rec) != nil || rec.Data == nil {
-			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("record %d is not valid JSON", i)}
+			recs.Note = fmt.Sprintf("ckpt: %s has a malformed record at byte %d; dropped it and the %d bytes after it", path, n, len(next))
+			break
 		}
 		if got := crcHex(crc32.ChecksumIEEE(rec.Data)); got != rec.CRC {
-			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("record %d checksum mismatch (have %s, computed %s)", i, rec.CRC, got)}
+			recs.Note = fmt.Sprintf("ckpt: %s has a checksum-failing record at byte %d (stored %s, computed %s); dropped it and the %d bytes after it", path, n, rec.CRC, got, len(next))
+			break
 		}
-		running = crc32.Update(running, crc32.IEEETable, rec.Data)
-		snap.records = append(snap.records, rec.Data)
+		recs.data = append(recs.data, rec.Data)
+		n += int64(len(line) + 1)
+		rest = next
 	}
-	if got := crcHex(running); got != tr.CRC {
-		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("running checksum mismatch (trailer %s, computed %s)", tr.CRC, got)}
-	}
-	return snap, nil
+	return recs, n, nil
 }
 
-// LoadLatest loads path, rolling back to PrevPath(path) when the
-// primary snapshot is missing or corrupt. The returned note is empty
-// when the primary loaded cleanly; otherwise it explains the rollback
-// for surfacing to the user. Mismatch errors never roll back: a foreign
-// snapshot's .prev is equally foreign, and silently restoring it would
-// hide the incompatibility.
-func LoadLatest(path string, want Meta) (*Snapshot, string, error) {
-	return LoadLatestFrom(iofault.OS(), path, want)
+// retry bounds the in-line retry of a log write, a truncation or a
+// directory sync against transient storage faults. No sleeping: callers
+// keep working while a write retries, and a fault schedule that
+// outlasts three attempts is modelling a dead device, which must
+// surface as an error.
+var retry = backoff.Policy{Attempts: 3}
+
+// Log is a log open for appending. It has no mutex: callers serialize
+// its methods.
+type Log struct {
+	fsys    iofault.FS
+	f       iofault.File
+	n       int64 // bytes of the header and the records written whole
+	torn    bool  // a failed write may have left bytes past n
+	created bool  // Open created the file; its directory entry is not yet synced
 }
 
-// LoadLatestFrom is LoadLatest against an explicit filesystem.
-func LoadLatestFrom(fsys iofault.FS, path string, want Meta) (*Snapshot, string, error) {
-	snap, err := LoadFrom(fsys, path, want)
-	if err == nil {
-		return snap, "", nil
-	}
-	var corrupt *CorruptError
-	recoverable := errors.As(err, &corrupt) || errors.Is(err, fs.ErrNotExist)
-	if !recoverable {
-		return nil, "", err
-	}
-	prev, perr := LoadFrom(fsys, PrevPath(path), want)
-	if perr != nil {
-		// No good previous snapshot: surface the primary's failure.
-		return nil, "", err
-	}
-	reason := "missing (crash between snapshot rotation and install)"
-	if corrupt != nil {
-		reason = corrupt.Reason
-	}
-	return prev, fmt.Sprintf("ckpt: %s was %s; rolled back to previous snapshot %s", path, reason, PrevPath(path)), nil
-}
-
-// splitLines splits on '\n', dropping a trailing unterminated fragment
-// only when it is empty (a well-formed file ends in a newline; a torn
-// final line simply fails its JSON parse or leaves the trailer missing).
-func splitLines(data []byte) [][]byte {
-	var lines [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			lines = append(lines, data[start:i])
-			start = i + 1
+// Open opens the log at path for appending records under meta.
+//
+// Without resume it creates the file, replacing any content, and
+// writes the header. With resume it recovers an existing file: it keeps
+// the valid prefix, truncates the rest, and returns the prefix's
+// records with a note on what was dropped; a missing or empty file is
+// created as without resume. A file whose header cannot be read is
+// refused with a *CorruptError, and one written for another kind,
+// fingerprint or format version with a *MismatchError.
+func Open(fsys iofault.FS, path string, meta Meta, resume bool) (*Log, *Records, error) {
+	l := &Log{fsys: fsys}
+	if resume {
+		data, err := fsys.ReadFile(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, fmt.Errorf("ckpt: read %s: %w", path, err)
+		}
+		if len(data) > 0 {
+			recs, n, err := parse(path, data, meta)
+			if err != nil {
+				return nil, nil, err
+			}
+			if l.f, err = fsys.OpenFile(path, os.O_WRONLY, 0o644); err != nil {
+				return nil, nil, fmt.Errorf("ckpt: reopen %s: %w", path, err)
+			}
+			l.n = n
+			if err := backoff.Retry(retry, nil, l.rewind); err != nil {
+				_ = l.f.Close() // the truncation failure is the error worth reporting
+				return nil, nil, fmt.Errorf("ckpt: recover %s: %w", path, err)
+			}
+			return l, recs, nil
 		}
 	}
-	if start < len(data) {
-		lines = append(lines, data[start:]) // unterminated fragment
+	hdr, err := headerLine(meta)
+	if err != nil {
+		return nil, nil, err
 	}
-	return lines
+	if l.f, err = fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
+		return nil, nil, fmt.Errorf("ckpt: create %s: %w", path, err)
+	}
+	l.created = true
+	if err := l.write(hdr); err != nil {
+		_ = l.f.Close() // the write failure is the error worth reporting
+		return nil, nil, err
+	}
+	return l, &Records{}, nil
 }
 
-// complete reports whether line i of lines ends with a newline in data
-// (i.e. was fully written).
-func complete(data []byte, i int, lines [][]byte) bool {
-	if i < len(lines)-1 {
-		return true
+// Append writes v's JSON encoding as the next record. A failed write is
+// retried in-line against transient faults, each retry first truncating
+// what the failed attempt left past the last whole record, so a record
+// never glues onto a torn prefix. After an error the log stays usable:
+// the next Append truncates first.
+func (l *Log) Append(v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("ckpt: encode record: %w", err)
 	}
-	return len(data) > 0 && data[len(data)-1] == '\n'
+	return l.write(appendRecord(nil, data))
+}
+
+// write lands line after the last whole record, with the retry.
+func (l *Log) write(line []byte) error {
+	err := backoff.Retry(retry, nil, func() error {
+		if l.torn {
+			if err := l.rewind(); err != nil {
+				return err
+			}
+		}
+		if _, err := l.f.Write(line); err != nil {
+			l.torn = true
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("ckpt: append to %s: %w", l.f.Name(), err)
+	}
+	l.n += int64(len(line))
+	return nil
+}
+
+// rewind truncates the file to its last whole record and moves the
+// write position there.
+func (l *Log) rewind() error {
+	if err := l.f.Truncate(l.n); err != nil {
+		return fmt.Errorf("trim torn suffix: %w", err)
+	}
+	if _, err := l.f.Seek(l.n, io.SeekStart); err != nil {
+		return fmt.Errorf("seek: %w", err)
+	}
+	l.torn = false
+	return nil
+}
+
+// Sync makes every appended record durable. The first Sync after Open
+// created the file also syncs its directory, so the file itself
+// survives a crash.
+func (l *Log) Sync() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("ckpt: sync %s: %w", l.f.Name(), err)
+	}
+	if l.created {
+		if err := syncDir(l.fsys, filepath.Dir(l.f.Name())); err != nil {
+			return err
+		}
+		l.created = false
+	}
+	return nil
+}
+
+// Close closes the file. It does not sync.
+func (l *Log) Close() error {
+	if err := l.f.Close(); err != nil {
+		return fmt.Errorf("ckpt: close %s: %w", l.f.Name(), err)
+	}
+	return nil
+}
+
+// syncDir makes dir's entries durable, retrying transient faults: a
+// failed directory sync means a crash could lose a file the caller has
+// been told is durable.
+func syncDir(fsys iofault.FS, dir string) error {
+	if err := backoff.Retry(retry, nil, func() error { return fsys.SyncDir(dir) }); err != nil {
+		return fmt.Errorf("ckpt: sync directory %s: %w", dir, err)
+	}
+	return nil
+}
+
+// WriteFile replaces the content of path with a log of recs under meta:
+// it writes a temp file in the same directory, fsyncs it, renames it
+// over path and fsyncs the directory. A crash at any instant leaves
+// either the old file or the new one, and after WriteFile returns nil
+// the new one is durable.
+func WriteFile[T any](fsys iofault.FS, path string, meta Meta, recs []T) (err error) {
+	b, err := headerLine(meta)
+	if err != nil {
+		return err
+	}
+	for i := range recs {
+		data, err := json.Marshal(recs[i])
+		if err != nil {
+			return fmt.Errorf("ckpt: encode record %d: %w", i, err)
+		}
+		b = appendRecord(b, data)
+	}
+
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("ckpt: create temp file: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			// Best-effort cleanup on the failure path; the write error
+			// already carries the cause.
+			_ = tmp.Close()
+			_ = fsys.Remove(tmp.Name())
+		}
+	}()
+	if _, err = tmp.Write(b); err != nil {
+		return fmt.Errorf("ckpt: write %s: %w", tmp.Name(), err)
+	}
+	if err = tmp.Sync(); err != nil {
+		return fmt.Errorf("ckpt: sync %s: %w", tmp.Name(), err)
+	}
+	if err = tmp.Close(); err != nil {
+		return fmt.Errorf("ckpt: close %s: %w", tmp.Name(), err)
+	}
+	if err = fsys.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("ckpt: install %s: %w", path, err)
+	}
+	return syncDir(fsys, dir)
 }

@@ -13,22 +13,22 @@ import (
 )
 
 // The run cache persists the session's memoized simulation windows so
-// r3dbench can warm-start across invocations: SaveCache dumps every
-// successful window into an atomically committed, CRC-guarded ckpt
-// file, and LoadCache preloads a later session from it. The cache is
-// keyed by a fingerprint over the session quality and the cache schema,
-// so a cache written under different window sizes, a different suite or
-// an incompatible build fails loudly instead of silently polluting
-// results. Preloaded windows are ordinary cache hits afterwards — in
-// particular, a ShadowFraction re-verifies them against a from-scratch
-// recomputation exactly like any other hit.
+// r3dbench can warm-start across invocations: SaveCache writes every
+// successful window to a CRC-guarded ckpt log, replacing the file
+// atomically, and LoadCache preloads a later session from it. The cache
+// is keyed by a fingerprint over the session quality and the cache
+// schema, so a cache written under different window sizes, a different
+// suite or an incompatible build fails loudly instead of silently
+// polluting results. Preloaded windows are ordinary cache hits
+// afterwards — in particular, a ShadowFraction re-verifies them against
+// a from-scratch recomputation exactly like any other hit.
 
 const (
 	cacheKind = "experiment-runcache"
 	// cacheSchema names the persisted entry layout. Bump it whenever
 	// cacheEntry, LeadRun or RMTRun change shape: the fingerprint then
 	// changes and stale caches are rejected loudly.
-	cacheSchema = "r3d-runcache/1"
+	cacheSchema = "r3d-runcache/2"
 )
 
 // cacheEntry is the persisted image of one memo entry. runValue's
@@ -83,41 +83,37 @@ func (s *Session) SaveCache(path string) (int, error) {
 }
 
 // SaveCacheTo persists every successful memoized window to path on fsys
-// as an atomically committed checkpoint (the previous cache generation
-// is kept alongside as path+".prev"). It returns the number of entries
-// written.
+// through ckpt.WriteFile, which replaces the file's whole content
+// atomically. It returns the number of entries written.
 func (s *Session) SaveCacheTo(fsys iofault.FS, path string) (int, error) {
 	fp, err := cacheFingerprint(s.Q)
 	if err != nil {
 		return 0, err
 	}
 	entries := s.eng.Entries()
-	w := ckpt.NewWriter(ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
-	for _, ent := range entries {
-		ce := cacheEntry{Key: ent.Key}
+	recs := make([]cacheEntry, len(entries))
+	for i := range entries {
+		ent := &entries[i] // Entries returns copies, so records may point into them
+		recs[i].Key = ent.Key
 		if ent.Key.Kind == KindLeading {
-			lead := ent.Val.lead
-			ce.Lead = &lead
+			recs[i].Lead = &ent.Val.lead
 		} else {
-			rmt := ent.Val.rmt
-			ce.RMT = &rmt
-		}
-		if err := w.Append(ce); err != nil {
-			return 0, err
+			recs[i].RMT = &ent.Val.rmt
 		}
 	}
-	if err := w.CommitTo(fsys, path); err != nil {
+	if err := ckpt.WriteFile(fsys, path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp}, recs); err != nil {
 		return 0, err
 	}
 	return len(entries), nil
 }
 
 // LoadCache preloads the session from a cache written by SaveCache
-// under the same quality and build. Recoverable failures — no cache
-// yet, or corruption with no good previous generation — degrade to a
-// cold start and are reported in notes; an intact cache for a different
-// quality or build is a hard error (point r3dbench at a fresh -cache
-// path instead). It returns the number of entries preloaded.
+// under the same quality and build. A damaged cache preloads its valid
+// prefix, with a note on the dropped suffix; no cache yet, or one whose
+// header cannot be read, degrades to a cold start with a note; an
+// intact cache for a different quality or build is a hard error (point
+// r3dbench at a fresh -cache path instead). It returns the number of
+// entries preloaded.
 func (s *Session) LoadCache(path string) (int, []string, error) {
 	return s.LoadCacheFrom(iofault.OS(), path)
 }
@@ -128,27 +124,25 @@ func (s *Session) LoadCacheFrom(fsys iofault.FS, path string) (int, []string, er
 	if err != nil {
 		return 0, nil, err
 	}
-	snap, note, err := ckpt.LoadLatestFrom(fsys, path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
-	var notes []string
-	if note != "" {
-		notes = append(notes, note)
-	}
+	recs, err := ckpt.LoadFrom(fsys, path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			notes = append(notes, fmt.Sprintf("experiment: no run cache at %s; starting cold", path))
-			return 0, notes, nil
+			return 0, []string{fmt.Sprintf("experiment: no run cache at %s; starting cold", path)}, nil
 		}
 		var corrupt *ckpt.CorruptError
 		if errors.As(err, &corrupt) {
-			notes = append(notes, fmt.Sprintf("experiment: %v — no recoverable cache; starting cold", err))
-			return 0, notes, nil
+			return 0, []string{fmt.Sprintf("experiment: %v — no recoverable cache; starting cold", err)}, nil
 		}
-		return 0, notes, err
+		return 0, nil, err
 	}
-	entries := make([]runsched.Entry[RunKey, runValue], 0, snap.Len())
-	for i := 0; i < snap.Len(); i++ {
+	var notes []string
+	if recs.Note != "" {
+		notes = append(notes, recs.Note+"; those windows are recomputed on demand")
+	}
+	entries := make([]runsched.Entry[RunKey, runValue], 0, recs.Len())
+	for i := 0; i < recs.Len(); i++ {
 		var ce cacheEntry
-		if err := snap.Decode(i, &ce); err != nil {
+		if err := recs.Decode(i, &ce); err != nil {
 			return 0, notes, err
 		}
 		var v runValue

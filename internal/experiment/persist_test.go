@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"r3d/internal/ckpt"
+	"r3d/internal/iofault"
 	"r3d/internal/nuca"
 	"r3d/internal/power"
 	"r3d/internal/runsched"
@@ -167,7 +168,7 @@ func TestShadowVerifiesPreloadedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ckpt.Load(path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
+	snap, err := ckpt.LoadFrom(iofault.OS(), path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +180,7 @@ func TestShadowVerifiesPreloadedWindows(t *testing.T) {
 		t.Fatalf("entry 0 is not a leading window: %+v", ce)
 	}
 	ce.Lead.Stats.Instructions += 999
-	w := ckpt.NewWriter(ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
-	if err := w.Append(ce); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(path); err != nil {
+	if err := ckpt.WriteFile(iofault.OS(), path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp}, []cacheEntry{ce}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,7 +226,7 @@ func TestShadowRecomputesSharedWindowsFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := ckpt.Load(path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
+	snap, err := ckpt.LoadFrom(iofault.OS(), path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +238,7 @@ func TestShadowRecomputesSharedWindowsFromScratch(t *testing.T) {
 		t.Fatalf("entry 0 is not %s: %+v", key, ce)
 	}
 	ce.RMT.MeanFreqGHz += 0.5
-	w := ckpt.NewWriter(ckpt.Meta{Kind: cacheKind, Fingerprint: fp})
-	if err := w.Append(ce); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Commit(path); err != nil {
+	if err := ckpt.WriteFile(iofault.OS(), path, ckpt.Meta{Kind: cacheKind, Fingerprint: fp}, []cacheEntry{ce}); err != nil {
 		t.Fatal(err)
 	}
 

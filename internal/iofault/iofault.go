@@ -61,8 +61,9 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes name.
 	Remove(name string) error
-	// Stat reports whether name exists (the only use the durable layers
-	// make of it).
+	// Stat reports whether name exists. No durable layer calls it any
+	// more; the benchmark's storage seam (perfbench) wraps it with the
+	// rest of the interface.
 	Stat(name string) (fs.FileInfo, error)
 	// SyncDir makes dir's directory entries (creates, renames, removes)
 	// durable, the way fsyncing an opened directory does.

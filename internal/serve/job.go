@@ -106,12 +106,6 @@ type Job struct {
 	stopped bool
 	// r3dlint:guardedby mu
 	stopReason string
-	// stored is the job's job-store record (json.Marshal of its
-	// storedJob), encoded by the first persist after the job is done
-	// and reused by every later one.
-	//
-	// r3dlint:guardedby mu
-	stored []byte
 }
 
 // newJob constructs an admitted job in the queued state.
@@ -225,31 +219,20 @@ func (j *Job) resultBody() ([]byte, string, bool) {
 	return j.result, j.contentType, true
 }
 
-// storedRecord returns the job's job-store record, encoding it on the
-// first call; done is false, and the record nil, until the job is done.
-// A done job's identity and result never change, so neither does its
-// record.
-func (j *Job) storedRecord() (rec []byte, done bool, err error) {
+// record returns the job's job-store record. Only done jobs are
+// recorded, and a done job's identity and result never change.
+func (j *Job) record() storedJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone {
-		return nil, false, nil
+	return storedJob{
+		ID:          j.ID,
+		Kind:        j.Kind,
+		Experiment:  j.Experiment,
+		Quality:     j.Quality,
+		Grid:        j.Grid,
+		Result:      string(j.result),
+		ContentType: j.contentType,
 	}
-	if j.stored == nil {
-		j.stored, err = json.Marshal(storedJob{
-			ID:          j.ID,
-			Kind:        j.Kind,
-			Experiment:  j.Experiment,
-			Quality:     j.Quality,
-			Grid:        j.Grid,
-			Result:      string(j.result),
-			ContentType: j.contentType,
-		})
-		if err != nil {
-			return nil, true, fmt.Errorf("serve: encode job %s: %w", j.ID, err)
-		}
-	}
-	return j.stored, true, nil
 }
 
 // begin moves a queued job to running; it reports false for jobs

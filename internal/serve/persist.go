@@ -3,31 +3,35 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"sort"
 
 	"r3d/internal/campaign"
 	"r3d/internal/ckpt"
 )
 
 // The daemon persists two things through internal/ckpt, both written
-// only by the single persister goroutine (never under a lock):
+// only by the persister goroutine, or by Drain once it has exited (never
+// under a lock):
 //
-//   - the job store (jobs.ckpt): every completed job's result bytes,
-//     keyed by content fingerprint, so a restarted daemon serves
-//     previously computed jobs byte-identically without recomputing;
+//   - the job store (jobs.ckpt): a log of every completed job's result
+//     bytes, keyed by content fingerprint, so a restarted daemon serves
+//     previously computed jobs byte-identically without recomputing.
+//     Between drains each persist appends the records of the jobs that
+//     finished since the last one and syncs once, so a daemon's life
+//     writes each record once. Drain rewrites the store whole. A corrupt
+//     suffix found at restore is logged and dropped: its jobs are
+//     recomputed on demand, the same as jobs that never persisted.
 //   - one window cache per tier (cache-<tier>.ckpt): the session memo
-//     entries, so experiment jobs warm-start across restarts.
+//     entries, written whole whenever the tier committed a window since
+//     its last save, so experiment jobs warm-start across restarts.
 //
-// Both inherit ckpt's crash discipline: atomic temp-file+rename
-// commits, a .prev generation for rollback, CRC-guarded records, and a
-// hard mismatch error for files written by a different configuration.
+// Both are refused with a hard error when they were written under a
+// different tier configuration or schema.
 
 const (
 	storeKind = "serve-jobstore"
 	// storeSchema names the persisted record layout; bump on any change
 	// to storedJob so stale stores are rejected loudly.
-	storeSchema = "r3d-jobstore/1"
+	storeSchema = "r3d-jobstore/2"
 )
 
 // storedJob is the persisted image of one completed job.
@@ -41,11 +45,12 @@ type storedJob struct {
 	ContentType string         `json:"content_type"`
 }
 
-// persistAll commits the job store and every tier's window cache that
-// changed since its last save. It is a no-op without a StatePath. The
-// jobs are listed under the lock, but every record is encoded (once per
-// job, see Job.storedRecord) and written after it is released.
-func (s *Server) persistAll() error {
+// persistAll makes the finished jobs and every tier cache that changed
+// since its last save durable. It is a no-op without a StatePath.
+// Between drains it appends the jobs finished since the last pass to
+// the job store; whole, Drain's final pass, rewrites the store instead.
+// Each record is encoded after s.mu is released.
+func (s *Server) persistAll(whole bool) error {
 	if s.opts.StatePath == "" {
 		return nil
 	}
@@ -53,28 +58,40 @@ func (s *Server) persistAll() error {
 	if err != nil {
 		return err
 	}
-
+	meta := ckpt.Meta{Kind: storeKind, Fingerprint: fp}
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	//lint:ignore maporder collection loop; the jobs are sorted by ID below before any order-dependent use
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
+	finished := s.finished
 	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 
-	w := ckpt.NewWriter(ckpt.Meta{Kind: storeKind, Fingerprint: fp})
-	for _, j := range jobs {
-		rec, done, err := j.storedRecord()
-		if err != nil {
-			return err
+	if whole {
+		if s.store != nil {
+			// The rewrite replaces everything the log holds, so a failed
+			// close loses nothing.
+			_ = s.store.Close()
+			s.store = nil
 		}
-		if done {
-			w.AppendEncoded(rec)
+		recs := make([]storedJob, len(finished))
+		for i, j := range finished {
+			recs[i] = j.record()
 		}
-	}
-	if err := w.CommitTo(s.fsys, s.jobStorePath()); err != nil {
-		return fmt.Errorf("serve: commit job store: %w", err)
+		if err := ckpt.WriteFile(s.fsys, s.jobStorePath(), meta, recs); err != nil {
+			return fmt.Errorf("serve: rewrite job store: %w", err)
+		}
+	} else if s.store != nil || s.stored < len(finished) {
+		if s.store == nil {
+			if s.store, _, err = ckpt.Open(s.fsys, s.jobStorePath(), meta, false); err != nil {
+				return fmt.Errorf("serve: create job store: %w", err)
+			}
+		}
+		for _, j := range finished[s.stored:] {
+			if err := s.store.Append(j.record()); err != nil {
+				return fmt.Errorf("serve: append to job store: %w", err)
+			}
+			s.stored++
+		}
+		if err := s.store.Sync(); err != nil {
+			return fmt.Errorf("serve: sync job store: %w", err)
+		}
 	}
 
 	for _, t := range s.tiers {
@@ -95,44 +112,12 @@ func (s *Server) persistAll() error {
 	return nil
 }
 
-// restore preloads the job store and tier caches from StatePath. A
-// missing or corrupt-beyond-recovery store degrades to a cold start
-// (the ckpt layer already rolled back to .prev if it could); a store
-// for a different tier configuration is a hard error, matching the
-// repo-wide convention that foreign state fails loudly.
+// restore preloads the tier caches and the job store from StatePath,
+// and keeps the store open for the persister's appends. A missing
+// store, or one whose header cannot be read, degrades to a cold start;
+// a store or cache for a different tier configuration is a hard error,
+// matching the repo-wide convention that foreign state fails loudly.
 func (s *Server) restore() error {
-	fp, err := s.storeFingerprint()
-	if err != nil {
-		return err
-	}
-	snap, note, err := ckpt.LoadLatestFrom(s.fsys, s.jobStorePath(), ckpt.Meta{Kind: storeKind, Fingerprint: fp})
-	if note != "" {
-		s.opts.Logf("serve: restore: %s", note)
-	}
-	switch {
-	case err == nil:
-		s.mu.Lock()
-		for i := 0; i < snap.Len(); i++ {
-			var rec storedJob
-			if err := snap.Decode(i, &rec); err != nil {
-				s.mu.Unlock()
-				return fmt.Errorf("serve: job store entry %d: %w", i, err)
-			}
-			s.jobs[rec.ID] = restoredJob(rec)
-		}
-		s.mu.Unlock()
-		s.opts.Logf("serve: restored %d completed jobs", snap.Len())
-	case errors.Is(err, fs.ErrNotExist):
-		s.opts.Logf("serve: no job store at %s; starting cold", s.jobStorePath())
-	default:
-		var corrupt *ckpt.CorruptError
-		if errors.As(err, &corrupt) {
-			s.opts.Logf("serve: %v — no recoverable job store; starting cold", err)
-			break
-		}
-		return err
-	}
-
 	for _, t := range s.tiers {
 		n, notes, err := s.sessions[t.Name].LoadCacheFrom(s.fsys, s.cachePath(t.Name))
 		for _, msg := range notes {
@@ -145,5 +130,39 @@ func (s *Server) restore() error {
 			s.opts.Logf("serve: restored %d %s windows", n, t.Name)
 		}
 	}
+
+	fp, err := s.storeFingerprint()
+	if err != nil {
+		return err
+	}
+	log, recs, err := ckpt.Open(s.fsys, s.jobStorePath(), ckpt.Meta{Kind: storeKind, Fingerprint: fp}, true)
+	var corrupt *ckpt.CorruptError
+	if errors.As(err, &corrupt) {
+		s.opts.Logf("serve: %v — no recoverable job store; starting cold", err)
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("serve: restore job store: %w", err)
+	}
+	if recs.Note != "" {
+		s.opts.Logf("serve: restore: %s; those jobs are recomputed on demand", recs.Note)
+	}
+	jobs := make([]*Job, recs.Len())
+	for i := range jobs {
+		var rec storedJob
+		if err := recs.Decode(i, &rec); err != nil {
+			_ = log.Close() // the decode failure is the error worth reporting
+			return fmt.Errorf("serve: job store entry %d: %w", i, err)
+		}
+		jobs[i] = restoredJob(rec)
+	}
+	s.mu.Lock()
+	for _, j := range jobs {
+		s.jobs[j.ID] = j
+	}
+	s.finished = jobs
+	s.mu.Unlock()
+	s.store, s.stored = log, len(jobs)
+	s.opts.Logf("serve: restored %d completed jobs", len(jobs))
 	return nil
 }

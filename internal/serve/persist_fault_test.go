@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"r3d/internal/backoff"
+	"r3d/internal/ckpt"
 	"r3d/internal/iofault"
 )
 
@@ -157,7 +160,7 @@ func TestTransientPersistFaultsAbsorbedByRetry(t *testing.T) {
 	s.Drain()
 }
 
-// cacheWriteFS counts the snapshot commits a server starts for files
+// cacheWriteFS counts the whole-file writes a server starts for files
 // whose name begins with prefix, and fails them while failing is set.
 type cacheWriteFS struct {
 	iofault.FS
@@ -176,9 +179,9 @@ func (f *cacheWriteFS) CreateTemp(dir, pattern string) (iofault.File, error) {
 	return f.FS.CreateTemp(dir, pattern)
 }
 
-// TestPersistSavesTierCacheOnlyWhenItChanged: every persist rewrites
-// the job store, but a tier's window cache only when its session has
-// committed a window since the last save that succeeded. A failed save
+// TestPersistSavesTierCacheOnlyWhenItChanged: every persist appends to
+// the job store, but rewrites a tier's window cache only when its
+// session has committed a window since the last save that succeeded. A failed save
 // is retried by the next persist, campaign jobs commit no windows, an
 // experiment job does, and a restored server serves every job byte for
 // byte.
@@ -253,5 +256,92 @@ func TestPersistSavesTierCacheOnlyWhenItChanged(t *testing.T) {
 	}
 	if sess, _ := s2.Session("fast"); sess.EngineStats().Preloaded == 0 {
 		t.Error("the experiment job's windows were not restored")
+	}
+}
+
+// byteCountFS counts the bytes written to files whose base name begins
+// with prefix, temp files included.
+type byteCountFS struct {
+	iofault.FS
+	prefix string
+	bytes  atomic.Int64
+}
+
+func (f *byteCountFS) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	return f.count(file, err)
+}
+
+func (f *byteCountFS) CreateTemp(dir, pattern string) (iofault.File, error) {
+	file, err := f.FS.CreateTemp(dir, pattern)
+	return f.count(file, err)
+}
+
+func (f *byteCountFS) count(file iofault.File, err error) (iofault.File, error) {
+	if err != nil || !strings.HasPrefix(filepath.Base(file.Name()), f.prefix) {
+		return file, err
+	}
+	return &countedFile{File: file, n: &f.bytes}, nil
+}
+
+type countedFile struct {
+	iofault.File
+	n *atomic.Int64
+}
+
+func (c *countedFile) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestJobStoreWritesEachRecordOnce: between drains the job store only
+// grows. After jobs finish one at a time, each with its own persist,
+// the bytes written to the store, temp files included, are exactly the
+// store's size: its header and one record per job. A store rewritten
+// on every persist would write O(N²) bytes for N jobs.
+func TestJobStoreWritesEachRecordOnce(t *testing.T) {
+	mem := iofault.NewMemFS()
+	fsys := &byteCountFS{FS: mem, prefix: "jobs.ckpt"}
+	s, err := New(degradedOptions(fsys, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	fp, err := s.storeFingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := ckpt.Meta{Kind: storeKind, Fingerprint: fp}
+	stored := func() int {
+		recs, err := ckpt.LoadFrom(mem, "/state/jobs.ckpt", meta)
+		if err != nil {
+			return 0
+		}
+		return recs.Len()
+	}
+
+	const jobs = 20
+	for seed := int64(1); seed <= jobs; seed++ {
+		if st := waitJobDone(t, submitTinyCampaign(t, s, seed)); st.State != StateDone {
+			t.Fatalf("job %d ended %s", seed, st.State)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for stored() < int(seed) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never reached the job store", seed)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	data, err := mem.ReadFile("/state/jobs.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := stored(); n != jobs {
+		t.Fatalf("job store holds %d records, want %d", n, jobs)
+	}
+	if got := fsys.bytes.Load(); got != int64(len(data)) {
+		t.Fatalf("%d jobs wrote %d job-store bytes; the store is %d bytes (a header and one record per job)", jobs, got, len(data))
 	}
 }

@@ -42,6 +42,7 @@ import (
 
 	"r3d/internal/backoff"
 	"r3d/internal/campaign"
+	"r3d/internal/ckpt"
 	"r3d/internal/experiment"
 	"r3d/internal/iofault"
 	"r3d/internal/runsched"
@@ -207,15 +208,27 @@ type Server struct {
 	wg        sync.WaitGroup
 	persistWG sync.WaitGroup
 
-	// cacheSaved maps a tier to its session's count of committed
-	// windows at the tier's last successful cache save (no entry: never
-	// saved). Only persistAll touches it, and it runs on the persister
+	// The persister's state. Only restore (before the persister starts)
+	// and persistAll touch it, and persistAll runs on the persister
 	// goroutine or, after that goroutine has exited, in Drain.
+	//
+	// store is the open job store (nil until a restore opens it or the
+	// first append creates it), and finished[:stored] are the jobs whose
+	// records it holds. cacheSaved maps a tier to its session's count of
+	// committed windows at the tier's last successful cache save (no
+	// entry: never saved).
+	store      *ckpt.Log
+	stored     int
 	cacheSaved map[string]int
 
 	mu sync.Mutex
 	// r3dlint:guardedby mu
 	jobs map[string]*Job
+	// finished lists the done jobs, restored ones first, in the order
+	// they finished; the job store holds their records in that order.
+	//
+	// r3dlint:guardedby mu
+	finished []*Job
 	// r3dlint:guardedby mu
 	inflight int // admitted jobs not yet terminal
 	// r3dlint:guardedby mu
@@ -626,6 +639,7 @@ func (s *Server) finalize(j *Job, state string, result []byte, contentType, errM
 	switch state {
 	case StateDone:
 		s.counters.Completed++
+		s.finished = append(s.finished, j)
 	case StateFailed:
 		s.counters.Failed++
 	case StateExpired:
@@ -680,7 +694,7 @@ func (s *Server) persistOnce() {
 	if wasDegraded {
 		policy = backoff.Policy{Attempts: 1}
 	}
-	err := backoff.Retry(policy, s.retrySleep, s.persistAll)
+	err := backoff.Retry(policy, s.retrySleep, func() error { return s.persistAll(false) })
 	s.mu.Lock()
 	s.persistDegraded = err != nil
 	s.mu.Unlock()
@@ -731,9 +745,11 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 	close(s.persistCh)
 	s.persistWG.Wait()
-	// The final checkpoint gets the full retry budget even when earlier
+	// The final persist gets the full retry budget even when earlier
 	// passes degraded: this is the last chance to make the state durable.
-	if err := backoff.Retry(s.opts.PersistRetry, s.retrySleep, s.persistAll); err != nil {
+	// It rewrites the job store whole, which also heals any appended
+	// record a silent fault (a dropped sync, a flipped bit) damaged.
+	if err := backoff.Retry(s.opts.PersistRetry, s.retrySleep, func() error { return s.persistAll(true) }); err != nil {
 		s.opts.Logf("serve: final persist: %v", err)
 	}
 	close(s.drainCh)

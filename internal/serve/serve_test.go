@@ -19,6 +19,7 @@ import (
 	"r3d/internal/ckpt"
 	"r3d/internal/core"
 	"r3d/internal/experiment"
+	"r3d/internal/iofault"
 	"r3d/internal/tech"
 )
 
@@ -807,13 +808,13 @@ func tamperTierCache(t *testing.T, path string) {
 	t.Helper()
 	// Discover the cache's fingerprint through the mismatch error, then
 	// reload it for real.
-	_, err := ckpt.Load(path, ckpt.Meta{Kind: "experiment-runcache", Fingerprint: "?"})
+	_, err := ckpt.LoadFrom(iofault.OS(), path, ckpt.Meta{Kind: "experiment-runcache", Fingerprint: "?"})
 	var mm *ckpt.MismatchError
 	if !errors.As(err, &mm) || mm.Field != "fingerprint" {
 		t.Fatalf("fingerprint discovery: %v", err)
 	}
 	meta := ckpt.Meta{Kind: "experiment-runcache", Fingerprint: mm.Got}
-	snap, err := ckpt.Load(path, meta)
+	recs, err := ckpt.LoadFrom(iofault.OS(), path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -822,25 +823,22 @@ func tamperTierCache(t *testing.T, path string) {
 		Lead *experiment.LeadRun `json:"lead,omitempty"`
 		RMT  *experiment.RMTRun  `json:"rmt,omitempty"`
 	}
-	w := ckpt.NewWriter(meta)
+	entries := make([]entry, recs.Len())
 	tampered := false
-	for i := 0; i < snap.Len(); i++ {
-		var e entry
-		if err := snap.Decode(i, &e); err != nil {
+	for i := range entries {
+		e := &entries[i]
+		if err := recs.Decode(i, e); err != nil {
 			t.Fatal(err)
 		}
 		if !tampered && e.Lead != nil {
 			e.Lead.Stats.Instructions += 999
 			tampered = true
 		}
-		if err := w.Append(e); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if !tampered {
 		t.Fatal("cache holds no leading window to tamper with")
 	}
-	if err := w.Commit(path); err != nil {
+	if err := ckpt.WriteFile(iofault.OS(), path, meta, entries); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -870,10 +868,8 @@ func TestShadowDivergenceDegradesHealth(t *testing.T) {
 
 	// Lose the job store (so the job recomputes) but keep — and tamper —
 	// the window cache.
-	for _, p := range []string{filepath.Join(state, "jobs.ckpt"), ckpt.PrevPath(filepath.Join(state, "jobs.ckpt"))} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			t.Fatal(err)
-		}
+	if err := os.Remove(filepath.Join(state, "jobs.ckpt")); err != nil {
+		t.Fatal(err)
 	}
 	tamperTierCache(t, filepath.Join(state, "cache-tiny.ckpt"))
 
