@@ -88,12 +88,13 @@ bench-layers:
 fmt:
 	gofmt -w .
 
-# Fuzz the trace-file reader for a minute (outside `make test`, which
-# runs only FuzzReader's seed corpus). A failing input is saved under
-# internal/trace/testdata/fuzz/FuzzReader and replays in every later
-# `go test`.
+# Fuzz the trace-file reader and the ckpt log loader for a minute each
+# (outside `make test`, which runs only their seed corpora). A failing
+# input is saved under the package's testdata/fuzz/<target> and replays
+# in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 60s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 60s ./internal/ckpt/
 
 # Crash-safety gate (runs as part of `make test`): SIGKILL a journaled
 # campaign mid-run — no drain, no final flush — then resume and require
