@@ -77,18 +77,22 @@ func TestLintModelCodeHasEmptyBaseline(t *testing.T) {
 
 // TestGoVetClean makes `go vet ./...` part of the tier-1 gate: a vet
 // diagnostic fails `go test ./...`, not just the separately-run `make
-// lint`. Skips when no go binary is on PATH (the test binary may run
-// on a machine without the toolchain).
+// lint`. It vets the benchmark's own module (perfbench, which builds
+// against this one) too, so a change that breaks the benchmark's build
+// fails here. Skips when no go binary is on PATH (the test binary may
+// run on a machine without the toolchain).
 func TestGoVetClean(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skipf("go binary not on PATH: %v", err)
 	}
-	cmd := exec.Command(goBin, "vet", "./...")
-	cmd.Dir = "."
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Errorf("go vet ./... failed (%v) on %s:\n%s", err, runtime.Version(), out)
+	for _, v := range []struct{ dir, pkgs string }{{".", "./..."}, {"perfbench", "."}} {
+		cmd := exec.Command(goBin, "vet", v.pkgs)
+		cmd.Dir = v.dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Errorf("go vet %s in %s failed (%v) on %s:\n%s", v.pkgs, v.dir, err, runtime.Version(), out)
+		}
 	}
 }
 
