@@ -108,16 +108,22 @@ func appendCRC(b []byte, sum uint32) []byte {
 	return b
 }
 
+// The framing of one record line around its data.
+const (
+	recOpen, recData, recClose = `{"crc":"`, `","data":`, "}\n"
+	recFraming                 = len(recOpen) + 8 + len(recData) + len(recClose)
+)
+
 // appendRecord appends the line that frames data, which must be
 // json.Marshal output. The line is byte for byte what
 // json.Marshal(record{CRC, Data}) gives, because Marshal leaves data it
 // already produced unchanged.
 func appendRecord(b, data []byte) []byte {
-	b = append(b, `{"crc":"`...)
+	b = append(b, recOpen...)
 	b = appendCRC(b, crc32.ChecksumIEEE(data))
-	b = append(b, `","data":`...)
+	b = append(b, recData...)
 	b = append(b, data...)
-	return append(b, "}\n"...)
+	return append(b, recClose...)
 }
 
 // headerLine returns meta's header line.
@@ -293,7 +299,7 @@ func (l *Log) Append(v any) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: encode record: %w", err)
 	}
-	return l.write(appendRecord(nil, data))
+	return l.write(appendRecord(make([]byte, 0, recFraming+len(data)), data))
 }
 
 // write lands line after the last whole record, with the retry.
@@ -370,15 +376,20 @@ func syncDir(fsys iofault.FS, dir string) error {
 // either the old file or the new one, and after WriteFile returns nil
 // the new one is durable.
 func WriteFile[T any](fsys iofault.FS, path string, meta Meta, recs []T) (err error) {
-	b, err := headerLine(meta)
+	hdr, err := headerLine(meta)
 	if err != nil {
 		return err
 	}
+	datas := make([][]byte, len(recs))
+	size := len(hdr)
 	for i := range recs {
-		data, err := json.Marshal(recs[i])
-		if err != nil {
+		if datas[i], err = json.Marshal(recs[i]); err != nil {
 			return fmt.Errorf("ckpt: encode record %d: %w", i, err)
 		}
+		size += recFraming + len(datas[i])
+	}
+	b := append(make([]byte, 0, size), hdr...)
+	for _, data := range datas {
 		b = appendRecord(b, data)
 	}
 
