@@ -137,6 +137,34 @@ func TestRunCacheCorruptionDegradesToColdStart(t *testing.T) {
 	}
 }
 
+// TestRunCacheKeepsValidPrefix: a cache whose last record is torn
+// preloads the windows before it and notes the one it dropped.
+func TestRunCacheKeepsValidPrefix(t *testing.T) {
+	q := tinyQuality()
+	path := filepath.Join(t.TempDir(), "bench.ckpt")
+	s1 := NewSession(q)
+	for _, bench := range []string{"gzip", "mcf"} {
+		if _, err := s1.Leading(bench, L2DA, nuca.DistributedSets, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := s1.SaveCache(path); err != nil || n != 2 {
+		t.Fatalf("saved %d entries (%v), want 2", n, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewSession(q)
+	loaded, notes, err := s2.LoadCache(path)
+	if err != nil || loaded != 1 || len(notes) != 1 || !strings.Contains(notes[0], "torn record") {
+		t.Fatalf("torn cache: loaded=%d notes=%q err=%v, want the first window and a note on the torn one", loaded, notes, err)
+	}
+}
+
 func TestShadowVerifiesPreloadedWindows(t *testing.T) {
 	q := tinyQuality()
 	path := filepath.Join(t.TempDir(), "bench.ckpt")

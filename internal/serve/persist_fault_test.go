@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -343,5 +346,69 @@ func TestJobStoreWritesEachRecordOnce(t *testing.T) {
 	}
 	if got := fsys.bytes.Load(); got != int64(len(data)) {
 		t.Fatalf("%d jobs wrote %d job-store bytes; the store is %d bytes (a header and one record per job)", jobs, got, len(data))
+	}
+}
+
+// TestRestoreDropsCorruptStoreSuffix: a job store whose last record is
+// torn restores the jobs before it and logs the drop, and the lost job
+// is recomputed, byte for byte, when it is submitted again.
+func TestRestoreDropsCorruptStoreSuffix(t *testing.T) {
+	mem := iofault.NewMemFS()
+	s, err := New(degradedOptions(mem, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := waitJobDone(t, submitTinyCampaign(t, s, 1))
+	lost := submitTinyCampaign(t, s, 2)
+	waitJobDone(t, lost)
+	want, _, _ := lost.Result()
+	s.Drain()
+
+	data, err := mem.ReadFile("/state/jobs.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := mem.OpenFile("/state/jobs.ckpt", os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data[:len(data)-10]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	opts := degradedOptions(mem, func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	})
+	opts.Restore = true
+	s2, err := New(opts)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer s2.Drain()
+	if j, ok := s2.JobByID(first.ID); !ok || !j.Status().Restored {
+		t.Fatalf("job %s before the torn record was not restored", first.ID)
+	}
+	if _, ok := s2.JobByID(lost.ID); ok {
+		t.Fatalf("job %s in the torn record was restored", lost.ID)
+	}
+	mu.Lock()
+	noted := strings.Contains(strings.Join(logs, "\n"), "torn record")
+	mu.Unlock()
+	if !noted {
+		t.Errorf("restore logs do not mention the torn record: %q", logs)
+	}
+	again := submitTinyCampaign(t, s2, 2)
+	if st := waitJobDone(t, again); st.State != StateDone || st.Restored {
+		t.Fatalf("resubmitted job: state %s restored=%v, want a fresh computation", st.State, st.Restored)
+	}
+	if got, _, _ := again.Result(); !bytes.Equal(got, want) {
+		t.Errorf("recomputed result differs from the original (%d vs %d bytes)", len(got), len(want))
 	}
 }
