@@ -16,10 +16,10 @@ import (
 //     bytes, keyed by content fingerprint, so a restarted daemon serves
 //     previously computed jobs byte-identically without recomputing.
 //     Between drains each persist appends the records of the jobs that
-//     finished since the last one and syncs once, so a daemon's life
-//     writes each record once. Drain rewrites the store whole. A corrupt
-//     suffix found at restore is logged and dropped: its jobs are
-//     recomputed on demand, the same as jobs that never persisted.
+//     finished since the last one and syncs once, so each record is
+//     written once; Drain rewrites the store whole. A corrupt suffix
+//     found at restore is logged and dropped: its jobs are recomputed
+//     on demand, the same as jobs that never persisted.
 //   - one window cache per tier (cache-<tier>.ckpt): the session memo
 //     entries, written whole whenever the tier committed a window since
 //     its last save, so experiment jobs warm-start across restarts.
