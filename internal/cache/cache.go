@@ -109,6 +109,20 @@ func (c *Cache) Reset() {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// CopyTo makes dst, a cache of c's configuration, a copy of c: its
+// lines, replacement state and statistics.
+func (c *Cache) CopyTo(dst *Cache) {
+	if dst.cfg != c.cfg {
+		panic(fmt.Sprintf("cache: copy of %q into %q", c.cfg.Name, dst.cfg.Name))
+	}
+	sets := dst.sets
+	*dst = *c
+	dst.sets = sets
+	for i, set := range c.sets {
+		copy(sets[i], set)
+	}
+}
+
 // Stats returns a copy of the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -210,6 +224,9 @@ func NewTLB(name string) *TLB {
 
 // Reset empties the TLB, as NewTLB builds it.
 func (t *TLB) Reset() { t.c.Reset() }
+
+// CopyTo makes dst, a TLB of t's geometry, a copy of t.
+func (t *TLB) CopyTo(dst *TLB) { t.c.CopyTo(dst.c) }
 
 // Access touches the page containing addr and reports a TLB hit.
 func (t *TLB) Access(addr uint64) bool {

@@ -172,6 +172,26 @@ func (c *Cache) Reset(cfg Config) {
 	}
 }
 
+// CopyTo makes dst a copy of c: its organization, lines, replacement
+// state, network counters and statistics. It reuses dst's line array
+// when that has room, as Reset does.
+func (c *Cache) CopyTo(dst *Cache) {
+	lines := dst.lines
+	if cap(lines) < len(c.lines) {
+		lines = make([]line, len(c.lines))
+	}
+	lines = lines[:len(c.lines)]
+	copy(lines, c.lines)
+	net := dst.net
+	if net == nil {
+		net = new(noc.Network)
+	}
+	*net = *c.net
+	banks := append(dst.stats.BankAccesses[:0], c.stats.BankAccesses...)
+	*dst = *c
+	dst.lines, dst.net, dst.stats.BankAccesses = lines, net, banks
+}
+
 // banksByDistance returns bank indices sorted ascending by hop count
 // (stable on index for determinism).
 func banksByDistance(hops []int) []int {

@@ -391,6 +391,72 @@ func (c *Core) Step(commitBudget int) []isa.Inst {
 // commits nothing whatever its budget.
 func (c *Core) Quiet() bool { return c.cycle+1 < c.wake }
 
+// NextCommits returns how many instructions the next Step commits at
+// full width, changing nothing: none on a quiet cycle, else the
+// consecutive entries at the ROB head that are Done once that cycle's
+// writeback has run, at most CommitWidth. A Step whose budget is at
+// least this leaves the core exactly as a full-width Step would, since
+// the budget acts on nothing but commit.
+func (c *Core) NextCommits() int {
+	if c.Quiet() {
+		return 0
+	}
+	next, n := c.cycle+1, 0
+	for slot := c.robHead; n < c.cfg.CommitWidth && n < c.robCount; n++ {
+		e := &c.rob[slot]
+		if e.state == stateWaiting || e.state == stateIssued && e.complete > next {
+			break
+		}
+		slot = c.wrap(slot + 1)
+	}
+	return n
+}
+
+// CopyTo makes dst a copy of c as it stands — pipeline, predictor, BTB,
+// L1 caches, TLBs, L2 contents and statistics — that reads on from src,
+// which must yield what c's source yields from here on. The two share
+// nothing: stepped with the same budgets they commit the same
+// instructions, and neither sees the other's steps. dst may be a zero
+// Core or any idle one; CopyTo reuses its tables and L2.
+func (c *Core) CopyTo(dst *Core, src InstSource) {
+	old := *dst
+	if old.pred == nil {
+		old.pred, old.btb = new(bpred.Predictor), new(bpred.BTB)
+		old.l1i, old.l1d = cache.New(cache.L1I), cache.New(cache.L1D)
+		old.itlb, old.dtlb = cache.NewTLB("ITLB"), cache.NewTLB("DTLB")
+	}
+	if old.l2 == nil {
+		old.l2 = new(nuca.Cache)
+	}
+	*dst = *c
+	dst.src = src
+	dst.pred, dst.btb, dst.l1i, dst.l1d, dst.itlb, dst.dtlb, dst.l2 = old.pred, old.btb, old.l1i, old.l1d, old.itlb, old.dtlb, old.l2
+	*dst.pred, *dst.btb = *c.pred, *c.btb
+	c.l1i.CopyTo(dst.l1i)
+	c.l1d.CopyTo(dst.l1d)
+	c.itlb.CopyTo(dst.itlb)
+	c.dtlb.CopyTo(dst.dtlb)
+	c.l2.CopyTo(dst.l2)
+	dst.insts = copied(old.insts, c.insts)
+	dst.rob = copied(old.rob, c.rob)
+	dst.edgeNext = copied(old.edgeNext, c.edgeNext)
+	dst.ready = copied(old.ready, c.ready)
+	dst.inflight = copied(old.inflight, c.inflight)
+	dst.committedBuf = copied(old.committedBuf, c.committedBuf)
+}
+
+// copied returns a copy of s, in d's array when that has room for
+// cap(s) elements, so the copy grows as far as s can without
+// reallocating.
+func copied[T any](d, s []T) []T {
+	if cap(d) < cap(s) {
+		d = make([]T, len(s), cap(s))
+	}
+	d = d[:len(s)]
+	copy(d, s)
+	return d
+}
+
 // nextWake returns the first cycle at which a stage can act, given the
 // state the stages left this cycle; any value up to the next cycle runs
 // the next Step in full. Each stage acts only when:

@@ -405,3 +405,96 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Fatal("a failed Reset changed the core")
 	}
 }
+
+// TestNextCommitsPredictsCommit: NextCommits, asked before every Step,
+// is what a full-width Step commits. On every profile, with commit
+// budgets swept 0..4 in stretches and a finite fetch budget that drains
+// the pipeline, as in TestQuietCyclesMatchFullSteps, a Step with budget
+// b commits min(b, NextCommits()) — exactly NextCommits at full width —
+// and a twin core that never asks commits the same in every cycle.
+func TestNextCommitsPredictsCommit(t *testing.T) {
+	for _, b := range trace.Suite() {
+		t.Run(b.Profile.Name, func(t *testing.T) {
+			c, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
+			twin, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
+			for i := range 20_000 {
+				switch i {
+				case 8_000:
+					c.SetFetchBudget(c.fetchedTot + 300)
+					twin.SetFetchBudget(twin.fetchedTot + 300)
+				case 12_000:
+					c.SetFetchBudget(^uint64(0))
+					twin.SetFetchBudget(^uint64(0))
+				}
+				budget := i / 50 % 5
+				n := c.NextCommits()
+				got, want := c.Step(budget), twin.Step(budget)
+				if len(got) != min(budget, n) {
+					t.Fatalf("cycle %d: budget %d committed %d, NextCommits said %d", c.Cycle(), budget, len(got), n)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("cycle %d: committed %v, a core that never asked %v", c.Cycle(), got, want)
+				}
+			}
+			if c.Stats() != twin.Stats() {
+				t.Errorf("stats differ:\n%+v\n%+v", c.Stats(), twin.Stats())
+			}
+		})
+	}
+}
+
+// TestCopyToIsIndependent copies a core over a tape at several cycles of
+// a run on every profile, first into a zero Core and then over earlier
+// copies, whose tables it reuses. A copy stepped with the original's
+// budgets commits what the original commits in every cycle and stays
+// deeply equal to it (statistics, L2 and predictor included); a copy
+// taken at the same cycle as another, stepped while the original steps
+// with other budgets, matches the other, which stepped alone before the
+// original moved.
+func TestCopyToIsIndependent(t *testing.T) {
+	var a, b Core
+	for _, bench := range trace.Suite() {
+		t.Run(bench.Profile.Name, func(t *testing.T) {
+			src := trace.NewTape(trace.MustGenerator(bench.Profile, 3)).Reader()
+			orig, _ := New(Default(), src, newL2())
+			budget := func(i int) int { return i / 40 % 5 }
+			for i := range 3_000 {
+				orig.Step(budget(i))
+			}
+			for round := range 3 {
+				// The same budgets: the copy follows the original.
+				orig.CopyTo(&a, src.Clone())
+				if !reflect.DeepEqual(orig, &a) {
+					t.Fatalf("round %d: a fresh copy differs from its original", round)
+				}
+				for i := range 1_500 {
+					got, want := a.Step(budget(i)), orig.Step(budget(i))
+					if !slices.Equal(got, want) {
+						t.Fatalf("round %d, cycle %d: the copy committed %v, the original %v", round, a.Cycle(), got, want)
+					}
+				}
+				if !reflect.DeepEqual(orig, &a) {
+					t.Fatalf("round %d: copy and original diverged under the same budgets: stats %+v vs %+v", round, a.Stats(), orig.Stats())
+				}
+
+				// Other budgets for the original: two copies from one
+				// cycle agree, whenever the original moves.
+				orig.CopyTo(&a, src.Clone())
+				orig.CopyTo(&b, src.Clone())
+				var alone [][]isa.Inst
+				for i := range 1_500 {
+					alone = append(alone, slices.Clone(b.Step(budget(i))))
+				}
+				for i := range 1_500 {
+					orig.Step(4 - budget(i))
+					if got := a.Step(budget(i)); !slices.Equal(got, alone[i]) {
+						t.Fatalf("round %d, cycle %d: the original's steps reached its copy: committed %v, alone %v", round, a.Cycle(), got, alone[i])
+					}
+				}
+				if a.Stats() != b.Stats() || !reflect.DeepEqual(a.L2().Stats(), b.L2().Stats()) || a.PredictorStats() != b.PredictorStats() {
+					t.Fatalf("round %d: a copy stepped beside its original ended unlike one stepped alone", round)
+				}
+			}
+		})
+	}
+}

@@ -116,6 +116,13 @@ type TapeReader struct {
 	regVal [isa.NumRegs]uint64
 }
 
+// Clone returns a reader at r's position that reads on independently
+// of r.
+func (r *TapeReader) Clone() *TapeReader {
+	c := *r
+	return &c
+}
+
 // Next returns the next instruction of the stream. The stream is
 // infinite: past the end of the recording the tape records more.
 func (r *TapeReader) Next() isa.Inst {
