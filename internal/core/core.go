@@ -230,6 +230,11 @@ func New(cfg Config, lead *ooo.Core) (*System, error) {
 // Lead returns the leading core.
 func (s *System) Lead() *ooo.Core { return s.lead }
 
+// SetLead moves the system onto lead, a copy of its leading core as it
+// stands (ooo.Core.CopyTo), between cycles or between BeginCycle and the
+// leading core's Step.
+func (s *System) SetLead(lead *ooo.Core) { s.lead = lead }
+
 // Checker returns the trailing checker core.
 func (s *System) Checker() *inorder.Checker { return s.checker }
 
@@ -315,6 +320,17 @@ func (s *System) Progress() uint64 {
 
 // Step advances the system by one leading-core cycle.
 func (s *System) Step() {
+	s.EndCycle(s.lead.Step(s.BeginCycle()))
+}
+
+// BeginCycle opens a leading-core cycle, up to the leading core's step:
+// it advances the clock, runs the DFS controller and charges the stall
+// counters, and returns the commit budget for the leading core's Step.
+// The caller steps the leading core with it and hands what it commits
+// to EndCycle; Step does both. The budget is 0 during a recovery stall,
+// and on a cycle when the queues are empty and the leading core is
+// quiet, where no budget changes what it commits.
+func (s *System) BeginCycle() int {
 	dfsDue := s.tick()
 
 	// DFS: adjust checker frequency on queue occupancy. The regular
@@ -344,20 +360,24 @@ func (s *System) Step() {
 	case s.recoveryStall > 0:
 		s.recoveryStall--
 		s.st.RecoveryStalls++
-		s.lead.Step(0)
+		return 0
 	case s.rvqCount == 0 && s.lead.Quiet():
 		// Empty queues leave a non-zero budget, and a quiet core commits
 		// nothing whatever its budget.
-		s.lead.Step(0)
-	default:
-		budget := s.commitBudget()
-		if budget == 0 {
-			s.st.LeadStallCycles++
-		}
-		committed := s.lead.Step(budget)
-		for i := range committed {
-			s.push(&committed[i])
-		}
+		return 0
+	}
+	budget := s.commitBudget()
+	if budget == 0 {
+		s.st.LeadStallCycles++
+	}
+	return budget
+}
+
+// EndCycle closes the cycle BeginCycle opened: it queues what the
+// leading core committed and runs the checker's cycles.
+func (s *System) EndCycle(committed []isa.Inst) {
+	for i := range committed {
+		s.push(&committed[i])
 	}
 
 	// Checker: runs at its own clock; accumulate fractional cycles. A
