@@ -7,6 +7,7 @@ package r3d
 // numbers recorded in EXPERIMENTS.md.
 
 import (
+	"slices"
 	"testing"
 
 	"r3d/internal/core"
@@ -230,6 +231,40 @@ func BenchmarkCoupledCore(b *testing.B) {
 					sys.Step()
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkStreamWindows measures a Prefetch batch's work on one
+// instruction stream: a fresh one-worker session at Fast() with windows
+// a fifth as long (the perfbench windows workload's quality, seed 42)
+// prefetches the stream's 14 windows of the registry manifests, among
+// them the 2d-a leading-core window and the coupled windows that share
+// its leading core. One op is one prefetch; ns/inst divides it by the
+// leading-core instructions the 14 windows commit, warm-up and
+// measurement (36,000 each; a window commits at most three more in each
+// phase).
+func BenchmarkStreamWindows(b *testing.B) {
+	q := experiment.Fast()
+	q.WarmupInsts /= 5
+	q.MeasureInsts /= 5
+	for _, name := range []string{"gzip", "mcf"} {
+		b.Run(name, func(b *testing.B) {
+			var keys []experiment.RunKey
+			for _, k := range experiment.ManifestUnion(q, experiment.Registry()) {
+				if k.Bench == name && !slices.Contains(keys, k) {
+					keys = append(keys, k)
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := experiment.NewSessionWith(q, experiment.SessionOptions{Workers: 1})
+				if err := s.Prefetch(keys); err != nil {
+					b.Fatal(err)
+				}
+			}
+			insts := float64(len(keys)) * float64(q.WarmupInsts+q.MeasureInsts)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/insts, "ns/inst")
 		})
 	}
 }

@@ -237,7 +237,7 @@ func (s *Session) Prefetch(keys []RunKey) error {
 func (s *Session) PrefetchUntil(keys []RunKey, stop <-chan struct{}) error {
 	keys = slices.Clone(keys)
 	slices.SortFunc(keys, compareStreams)
-	s.beginBatch()
+	s.beginBatch(keys)
 	defer s.endBatch()
 	return s.eng.PrefetchUntil(keys, stop)
 }

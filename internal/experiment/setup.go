@@ -8,18 +8,22 @@ import (
 
 	"r3d/internal/nuca"
 	"r3d/internal/ooo"
+	"r3d/internal/runsched"
 	"r3d/internal/trace"
 )
 
 // setUp is what the windows of running Prefetch batches share instead
-// of building it per window: a recorded stream per (profile, seed) and
-// idle leading cores, each with the L2 it last ran on. A window built
-// from it is bit-identical to one built from scratch, because a tape
-// replays its generator's stream exactly and Reset returns a core and
-// an L2 to the state New builds. A nil *setUp builds from scratch.
+// of building it per window: a recorded stream per (profile, seed), idle
+// leading cores, each with the L2 it last ran on, and the groups of
+// windows that share a leading core (group.go). A window built from it
+// is bit-identical to one built from scratch, because a tape replays
+// its generator's stream exactly, Reset returns a core and an L2 to the
+// state New builds, and a group forks each window off its trunk before
+// the two could differ. A nil *setUp builds from scratch.
 type setUp struct {
-	// limit bounds the tapes and the idle cores kept: the worker count,
-	// which bounds the windows one batch runs at once.
+	// limit bounds the tapes kept, and half the idle cores: the worker
+	// count, which bounds the windows one batch runs at once, each on
+	// at most two cores (a group's trunk and its branch).
 	limit int
 
 	mu sync.Mutex
@@ -29,6 +33,13 @@ type setUp struct {
 	// cores holds idle leading cores.
 	// r3dlint:guardedby mu
 	cores []*ooo.Core
+	// groups maps a trunk window (windowSpec.trunk) to the distinct
+	// windows of the running batches that share its leading core.
+	// r3dlint:guardedby mu
+	groups map[windowSpec][]windowSpec
+
+	// runs holds the values of each group that ran, by trunk window.
+	runs runsched.Flight[windowSpec, map[windowSpec]runValue]
 }
 
 // streamTape is the recording of one (profile, seed) stream.
@@ -39,12 +50,17 @@ type streamTape struct {
 }
 
 // stream returns a source of the (profile, seed) stream: a reader of
-// its tape, recorded on first use, or a fresh generator for a nil
-// setUp.
+// its tape, or a fresh generator for a nil setUp.
 func (p *setUp) stream(profile trace.Profile, seed int64) ooo.InstSource {
 	if p == nil {
 		return trace.MustGenerator(profile, seed)
 	}
+	return p.reader(profile, seed)
+}
+
+// reader returns a reader of the (profile, seed) stream's tape,
+// recorded on first use.
+func (p *setUp) reader(profile trace.Profile, seed int64) *trace.TapeReader {
 	if t := p.tape(profile, seed, nil); t != nil {
 		return t.Reader()
 	}
@@ -74,24 +90,14 @@ func (p *setUp) tape(profile trace.Profile, seed int64, add *trace.Tape) *trace.
 	return add
 }
 
-// core returns a cold leading core for window w, over its stream and
-// with a cold L2 of its organization: an idle core and its L2 reset,
-// or new ones.
-func (p *setUp) core(w windowSpec) (*ooo.Core, error) {
+// core returns a cold leading core for window w over src, with a cold
+// L2 of its organization: an idle core and its L2 reset, or new ones.
+func (p *setUp) core(w windowSpec, src ooo.InstSource) (*ooo.Core, error) {
 	l2cfg, err := nuca.ByName(w.l2.String(), w.policy)
 	if err != nil {
 		return nil, err
 	}
-	src := p.stream(w.profile, w.seed)
-	var c *ooo.Core
-	if p != nil {
-		p.mu.Lock()
-		if n := len(p.cores); n > 0 {
-			c = p.cores[n-1]
-			p.cores = p.cores[:n-1]
-		}
-		p.mu.Unlock()
-	}
+	c := p.idle()
 	if c == nil {
 		return ooo.New(w.lead, src, nuca.New(l2cfg))
 	}
@@ -103,6 +109,22 @@ func (p *setUp) core(w windowSpec) (*ooo.Core, error) {
 	return c, nil
 }
 
+// idle takes an idle core, or returns nil when there is none.
+func (p *setUp) idle() *ooo.Core {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.cores)
+	if n == 0 {
+		return nil
+	}
+	c := p.cores[n-1]
+	p.cores = p.cores[:n-1]
+	return c
+}
+
 // done takes back a core whose window has finished.
 func (p *setUp) done(c *ooo.Core) {
 	if p == nil {
@@ -110,23 +132,58 @@ func (p *setUp) done(c *ooo.Core) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.cores) < p.limit {
+	if len(p.cores) < 2*p.limit {
 		p.cores = append(p.cores, c)
 	}
 }
 
-// beginBatch opens a Prefetch batch, making the shared set-up if no
-// other batch is running.
-func (s *Session) beginBatch() {
+// addGroups adds each window of ws to the group of its leading core.
+func (p *setUp) addGroups(ws []windowSpec) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.groups == nil {
+		p.groups = map[windowSpec][]windowSpec{}
+	}
+	for _, w := range ws {
+		t := w.trunk()
+		if !slices.Contains(p.groups[t], w) {
+			p.groups[t] = append(p.groups[t], w)
+		}
+	}
+}
+
+// group returns the windows of w's group, or nil when w shares its
+// leading core with no other window of the running batches.
+func (p *setUp) group(w windowSpec) []windowSpec {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	g := p.groups[w.trunk()]
+	if len(g) < 2 || !slices.Contains(g, w) {
+		return nil
+	}
+	return slices.Clone(g)
+}
+
+// beginBatch opens a Prefetch batch of keys, making the shared set-up
+// if no other batch is running, and adds the windows of the keys the
+// engine does not hold yet to the groups of their leading cores.
+func (s *Session) beginBatch(keys []RunKey) {
+	var ws []windowSpec
+	for _, k := range keys {
+		if w, err := resolveWindow(k); err == nil && !s.eng.Has(k) {
+			ws = append(ws, w)
+		}
+	}
 	s.simMu.Lock()
 	defer s.simMu.Unlock()
 	if s.batches++; s.setup == nil {
 		s.setup = &setUp{limit: s.eng.Workers()}
 	}
+	s.setup.addGroups(ws)
 }
 
 // endBatch closes a Prefetch batch; the last one to end drops the
-// set-up, so tapes and idle cores live only while batches run.
+// set-up, so tapes, idle cores and groups live only while batches run.
 func (s *Session) endBatch() {
 	s.simMu.Lock()
 	defer s.simMu.Unlock()

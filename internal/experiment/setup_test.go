@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"r3d/internal/nuca"
+	"r3d/internal/runsched"
 	"r3d/internal/trace"
 )
 
@@ -78,7 +80,7 @@ func TestShadowReportsTamperedTape(t *testing.T) {
 	// The open batch keeps the set-up, and the tampered tape in it,
 	// alive through the first Prefetch; the second one's hit is
 	// shadow-checked.
-	s.beginBatch()
+	s.beginBatch(nil)
 	tp := trace.NewTape(trace.MustGenerator(b.Profile, q.Seed))
 	tp.Corrupt(at, 1<<40)
 	s.setup.tape(b.Profile, q.Seed, tp)
@@ -92,5 +94,78 @@ func TestShadowReportsTamperedTape(t *testing.T) {
 	}
 	if d := s.ShadowDivergences(); len(d) != 1 || d[0].Key != k {
 		t.Fatalf("divergences %+v, want one for %s", d, k)
+	}
+}
+
+// TestConcurrentGroupsMatchSoloWindows runs each Fast()/5 stream's
+// windows as one batch, at one and at four workers, so that the windows
+// sharing the stream's 2d-a leading core run as a group on one trunk and
+// fork off it, and requires every key's value to be byte-identical to a
+// fresh session's that computes the key alone, on a core of its own. A
+// second batch per stream leaves the trunk's own lead window out, so the
+// trunk serves coupled windows only. The streams include art and mcf,
+// whose coupled windows mostly never fork.
+func TestConcurrentGroupsMatchSoloWindows(t *testing.T) {
+	q := Fast()
+	q.WarmupInsts /= 5
+	q.MeasureInsts /= 5
+	keys := ManifestUnion(q, Registry())
+	slices.SortFunc(keys, CompareRunKeys)
+	streams := map[string][]RunKey{}
+	want := map[RunKey][]byte{}
+	for _, k := range slices.Compact(keys) {
+		streams[k.Bench] = append(streams[k.Bench], k)
+		alone := NewSession(q)
+		v, err := alone.eng.Get(k)
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		if want[k], err = encodeRunValue(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for _, b := range q.Benchmarks {
+			trunk := LeadingKey(q, b, L2DA, nuca.DistributedSets, 0)
+			tw, err := resolveWindow(trunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withoutLead := slices.DeleteFunc(slices.Clone(streams[b]), func(k RunKey) bool { return k == trunk })
+			for _, batch := range [][]RunKey{streams[b], withoutLead} {
+				s := NewSessionWith(q, SessionOptions{Workers: workers})
+				// An outer batch keeps the set-up, and the group's
+				// values in it, past the Prefetch.
+				s.beginBatch(nil)
+				err := s.Prefetch(batch)
+				vals, how, _ := s.setup.runs.Do(tw, func() (map[windowSpec]runValue, error) { return nil, nil })
+				s.endBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The 2d-a lead window and the stream's 8 coupled
+				// configurations (10 coupled keys).
+				members := 8
+				if len(batch) == len(streams[b]) {
+					members++
+				}
+				if how != runsched.Hit || len(vals) != members {
+					t.Errorf("%s, %d keys, %d workers: the group ran %d windows, want %d", b, len(batch), workers, len(vals), members)
+				}
+				for _, k := range batch {
+					v, err := s.eng.Cached(k)
+					if err != nil {
+						t.Fatalf("%s: %v", k, err)
+					}
+					got, err := encodeRunValue(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want[k]) {
+						t.Errorf("%s, %d keys, %d workers: the batch's value differs from the key's alone", k, len(batch), workers)
+					}
+				}
+			}
+		}
 	}
 }

@@ -72,6 +72,14 @@ func resolveWindow(k RunKey) (windowSpec, error) {
 	return w, nil
 }
 
+// trunk returns the standalone leading-core window of w's leading core:
+// w itself for a leading-core window, and for a coupled one the window
+// of its stream, L2, policy and core config without the checker.
+func (w windowSpec) trunk() windowSpec {
+	w.sys = core.Config{}
+	return w
+}
+
 // computeRun is the engine's compute function: it resolves the key and
 // returns the simulation's value. It must stay a pure function of the
 // key (given the session's quality): the engine memoizes it and runs
@@ -93,6 +101,9 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 		s.simMu.Lock()
 		setup := s.setup
 		s.simMu.Unlock()
+		if v, ok := s.fromGroup(w, setup); ok {
+			return v, nil
+		}
 		return s.simulate(w, setup)
 	})
 	if how != runsched.Computed {
@@ -103,67 +114,117 @@ func (s *Session) computeRun(k RunKey) (runValue, error) {
 	return v, err
 }
 
-// simulate runs one window over the given set-up (nil: from scratch),
-// with no session lock held.
+// simulate runs one window alone over the given set-up (nil: from
+// scratch), with no session lock held.
 func (s *Session) simulate(w windowSpec, setup *setUp) (runValue, error) {
-	if w.sys == (core.Config{}) {
-		r, err := s.simulateLeading(w, setup)
-		return runValue{lead: r}, err
-	}
-	r, err := s.simulateRMT(w, setup)
-	return runValue{rmt: r}, err
-}
-
-// simulateLeading runs a standalone leading-core window.
-func (s *Session) simulateLeading(w windowSpec, setup *setUp) (LeadRun, error) {
-	c, err := setup.core(w)
+	c, err := setup.core(w, setup.stream(w.profile, w.seed))
 	if err != nil {
-		return LeadRun{}, err
+		return runValue{}, err
 	}
 	defer setup.done(c)
-	c.Run(s.Q.WarmupInsts)
-	c.ResetStats()
-	c.SetFetchBudget(^uint64(0))
-	for c.Committed() < s.Q.MeasureInsts {
-		c.Step(w.lead.CommitWidth)
+	win, err := newWindow(w, c)
+	if err != nil {
+		return runValue{}, err
 	}
-	return LeadRun{
-		Bench:   w.profile.Name,
-		Stats:   c.Stats(),
-		L2Stats: c.L2().Stats(),
-		Pred:    c.PredictorStats().MispredictRate(),
-	}, nil
+	c.SetFetchBudget(s.Q.WarmupInsts)
+	s.drive(win, false)
+	return win.value(), nil
 }
 
-// simulateRMT runs a coupled leading+checker window.
-func (s *Session) simulateRMT(w windowSpec, setup *setUp) (RMTRun, error) {
-	lead, err := setup.core(w)
-	if err != nil {
-		return RMTRun{}, err
+// A run is what drive steps: one window, or a group of windows on a
+// shared leading core (group.go).
+type run interface {
+	// leading returns the leading core whose commits end the phases.
+	leading() *ooo.Core
+	// stepUntil steps until the leading core has committed n
+	// instructions or, with drain, its pipeline has drained, or nothing
+	// is left to simulate.
+	stepUntil(n uint64, drain bool)
+	// resetStats discards the warm-up's statistics.
+	resetStats()
+}
+
+// drive steps r through the rest of its window. Unless measuring, that
+// starts with the warm-up, which ends once Q.WarmupInsts leading-core
+// instructions have committed (or the pipeline has drained) and whose
+// statistics are discarded; the measurement ends once Q.MeasureInsts
+// have committed. A window starts with its fetch budget at
+// Q.WarmupInsts.
+func (s *Session) drive(r run, measuring bool) {
+	if !measuring {
+		r.stepUntil(s.Q.WarmupInsts, true)
+		r.resetStats()
+		r.leading().SetFetchBudget(^uint64(0))
 	}
-	defer setup.done(lead)
-	sys, err := core.New(w.sys, lead)
-	if err != nil {
-		return RMTRun{}, err
+	r.stepUntil(s.Q.MeasureInsts, false)
+}
+
+// window is one simulation window as it runs: a standalone leading core,
+// or a coupled system over it (sys non-nil).
+type window struct {
+	spec windowSpec
+	c    *ooo.Core
+	sys  *core.System
+}
+
+// newWindow sets window w up on the cold leading core c.
+func newWindow(w windowSpec, c *ooo.Core) (*window, error) {
+	win := &window{spec: w, c: c}
+	if w.sys != (core.Config{}) {
+		sys, err := core.New(w.sys, c)
+		if err != nil {
+			return nil, err
+		}
+		win.sys = sys
 	}
-	sys.Run(s.Q.WarmupInsts)
-	sys.ResetStats()
-	lead.SetFetchBudget(^uint64(0))
-	for lead.Committed() < s.Q.MeasureInsts {
-		sys.Step()
+	return win, nil
+}
+
+func (w *window) leading() *ooo.Core { return w.c }
+
+func (w *window) stepUntil(n uint64, drain bool) {
+	c := w.c
+	if w.sys == nil {
+		for c.Committed() < n && !(drain && c.Drained()) {
+			c.Step(w.spec.lead.CommitWidth)
+		}
+		return
 	}
-	cs := sys.Checker().Stats()
+	for c.Committed() < n && !(drain && c.Drained()) {
+		w.sys.Step()
+	}
+}
+
+func (w *window) resetStats() {
+	if w.sys == nil {
+		w.c.ResetStats()
+		return
+	}
+	w.sys.ResetStats()
+}
+
+// value returns the window's result.
+func (w *window) value() runValue {
+	if w.sys == nil {
+		return runValue{lead: LeadRun{
+			Bench:   w.spec.profile.Name,
+			Stats:   w.c.Stats(),
+			L2Stats: w.c.L2().Stats(),
+			Pred:    w.c.PredictorStats().MispredictRate(),
+		}}
+	}
+	cs := w.sys.Checker().Stats()
 	util := 0.0
 	if cs.Cycles > 0 {
-		util = float64(cs.Issued) / float64(cs.Cycles) / float64(w.sys.Checker.Width)
+		util = float64(cs.Issued) / float64(cs.Cycles) / float64(w.spec.sys.Checker.Width)
 	}
-	return RMTRun{
-		Bench:         w.profile.Name,
-		Lead:          lead.Stats(),
-		Sys:           sys.Stats(),
+	return runValue{rmt: RMTRun{
+		Bench:         w.spec.profile.Name,
+		Lead:          w.c.Stats(),
+		Sys:           w.sys.Stats(),
 		CheckerIPC:    cs.IPC(),
 		CheckerUtil:   util,
-		MeanFreqGHz:   sys.MeanCheckerFreqGHz(),
-		FreqFractions: sys.FreqResidency().Fractions(),
-	}, nil
+		MeanFreqGHz:   w.sys.MeanCheckerFreqGHz(),
+		FreqFractions: w.sys.FreqResidency().Fractions(),
+	}}
 }
