@@ -20,7 +20,10 @@ import (
 // per-record checksum extends that guarantee from torn tails to
 // corruption anywhere: a record whose payload no longer matches its CRC
 // — and everything after it, whose framing can no longer be trusted —
-// is discarded and its trials re-run.
+// is discarded and its trials re-run. The journal syncs its first
+// record, which makes the file's directory entry durable too, and then
+// whenever syncEvery records are unsynced, so a machine crash or power
+// loss loses at most the last syncEvery-1 outcomes.
 
 const (
 	journalKind = "campaign-journal"
@@ -30,6 +33,8 @@ const (
 	// fingerprint check loudly — record schemas are never mixed within
 	// one file.
 	journalSchema = "campaign-journal/v3"
+	// syncEvery bounds the outcomes the journal holds unsynced.
+	syncEvery = 32
 )
 
 // gridFingerprint hashes the journal schema plus the canonical JSON
@@ -59,6 +64,10 @@ type journal struct {
 	log *ckpt.Log
 	// r3dlint:guardedby mu
 	err error // first append error, surfaced at close
+	// appended counts this run's records, and unsynced those not yet
+	// synced.
+	// r3dlint:guardedby mu
+	appended, unsynced int
 }
 
 // openJournal prepares the journal at path. Without resume the file is
@@ -88,7 +97,8 @@ func openJournal(fsys iofault.FS, path string, fingerprint string, resume bool) 
 	return &journal{log: log}, done, notes, nil
 }
 
-// append journals one outcome. ckpt retries transient storage faults
+// append journals one outcome, syncing the first record and then every
+// syncEvery-th unsynced one. ckpt retries transient storage faults
 // in-line. Errors are sticky and surfaced at close so workers never have
 // to unwind mid-trial for an I/O failure.
 func (j *journal) append(out TrialOutcome) {
@@ -99,19 +109,31 @@ func (j *journal) append(out TrialOutcome) {
 	}
 	if err := j.log.Append(out); err != nil {
 		j.err = fmt.Errorf("campaign: journal append: %w", err)
+		return
+	}
+	j.appended++
+	if j.unsynced++; j.appended == 1 || j.unsynced >= syncEvery {
+		j.syncLocked()
 	}
 }
 
-// sync flushes the journal to stable storage (the graceful-drain path).
+// sync flushes the journal to stable storage (the end of a run and the
+// graceful-drain path).
 func (j *journal) sync() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.syncLocked()
+}
+
+func (j *journal) syncLocked() {
 	if j.err != nil {
 		return
 	}
 	if err := j.log.Sync(); err != nil {
 		j.err = fmt.Errorf("campaign: journal sync: %w", err)
+		return
 	}
+	j.unsynced = 0
 }
 
 func (j *journal) close() error {

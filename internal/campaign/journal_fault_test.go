@@ -200,3 +200,36 @@ func TestJournalPermanentWriteFaultSticksImmediately(t *testing.T) {
 		t.Fatalf("permanent fault consumed %d writes, want 2 (header + one attempt)", sfs.writes)
 	}
 }
+
+// TestJournalCrashKeepsSyncedOutcomes: a power cut mid-campaign loses at
+// most the outcomes appended since the journal last synced. The journal
+// syncs its first record (with the file's directory entry) and then
+// whenever syncEvery records are unsynced, so a crash after the first
+// append keeps that record, one after syncEvery appends still keeps only
+// the first (the most a crash loses is syncEvery-1), and one after 40
+// appends keeps the first 33.
+func TestJournalCrashKeepsSyncedOutcomes(t *testing.T) {
+	for _, tc := range []struct{ appends, keep int }{{1, 1}, {syncEvery, 1}, {40, 1 + syncEvery}} {
+		m := iofault.NewMemFS()
+		jr, _, _, err := openJournal(m, "/d/j", "fp", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= tc.appends; i++ {
+			jr.append(journalOutcome(i))
+		}
+		m.Crash()
+		_, done, _, err := openJournal(m, "/d/j", "fp", true)
+		if err != nil {
+			t.Fatalf("%d appends: resume after the crash: %v", tc.appends, err)
+		}
+		if len(done) != tc.keep {
+			t.Fatalf("%d appends: the crash kept %d outcomes, want %d", tc.appends, len(done), tc.keep)
+		}
+		for i, out := range done {
+			if out.ID != journalOutcome(i+1).ID {
+				t.Fatalf("%d appends: kept outcome %d is %s, want %s", tc.appends, i, out.ID, journalOutcome(i+1).ID)
+			}
+		}
+	}
+}

@@ -129,12 +129,13 @@ func chaosSchedule(rng *rand.Rand, seed int64, cycle int) iofault.Schedule {
 		RenameErr:   rng.Float64() * 0.03,
 		SlowIO:      rng.Float64() * 0.05,
 		SlowIONanos: 1_000,
-		// A clean run makes eight journal operations (create, header,
-		// three appends, sync, the directory sync of the new file,
-		// close). The crash window starts inside them and recedes five
-		// ops per cycle, so early cycles genuinely kill the run and a
-		// later one outruns the cliff.
-		CrashAtOp: 2 + rng.Int63n(6) + int64(cycle)*5,
+		// A clean run makes nine journal operations (create, header,
+		// the first append, its sync, the directory sync of the new
+		// file, two more appends, the final sync, close). The crash
+		// window starts inside them and recedes five ops per cycle, so
+		// early cycles genuinely kill the run and a later one outruns
+		// the cliff.
+		CrashAtOp: 2 + rng.Int63n(7) + int64(cycle)*5,
 	}
 }
 
