@@ -78,23 +78,26 @@ bench-thermal:
 # (one op = one core) — the bare leading core and the coupled RMT step
 # (one op = one committed instruction), a whole reliable system with
 # set-up and a cold 20k-instruction window (one op = one system; its
-# B/op is mostly the NUCA L2), and the thermal solve the session runs:
+# B/op is mostly the NUCA L2), one Prefetch of a stream's 14 windows
+# (one op = one prefetch, also reported per committed leading-core
+# instruction), and the thermal solve the session runs:
 # a cold state, the coarse-grid preconditioner, then the fine solve
 # (one op = one solve).
 bench-layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|TapeReplay|WindowSetup|LeadingCore|CoupledCore|Checker|ReliableSystem)$$' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench '^Benchmark(TraceGeneration|TapeReplay|WindowSetup|LeadingCore|CoupledCore|Checker|ReliableSystem|StreamWindows)$$' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench '^BenchmarkSolvePreconditioned$$' -benchmem -count 5 ./internal/thermal/
 
 fmt:
 	gofmt -w .
 
-# Fuzz the trace-file reader and the ckpt log loader for a minute each
-# (outside `make test`, which runs only their seed corpora). A failing
-# input is saved under the package's testdata/fuzz/<target> and replays
-# in every later `go test`.
+# Fuzz the trace-file reader, the ckpt log loader and the daemon's
+# submit handler for a minute each (outside `make test`, which runs only
+# their seed corpora). A failing input is saved under the package's
+# testdata/fuzz/<target> and replays in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 60s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 60s ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmit$$' -fuzztime 60s ./internal/serve/
 
 # Crash-safety gate (runs as part of `make test`): SIGKILL a journaled
 # campaign mid-run — no drain, no final flush — then resume and require
