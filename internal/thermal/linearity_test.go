@@ -91,3 +91,70 @@ func TestPowerBalance(t *testing.T) {
 		t.Errorf("boundary outflow %.3f W, injected %.1f W", out, P)
 	}
 }
+
+// TestMorePowerNeverCools checks that the steady solve is monotone in
+// power: on the two-die Table 3 stack, on an 8×8 grid that keeps it to
+// a fraction of a second, raising the power of one 2×2-cell region of
+// one die at a time above a random base map lowers no cell of any layer
+// by more than the solver tolerance. Conduction through positive
+// conductances to the ambient can only carry more heat everywhere. The
+// regions are small so that the shared heat sink, which warms every
+// cell alike, does not hide what the lateral conduction does; a
+// non-finite field fails too.
+func TestMorePowerNeverCools(t *testing.T) {
+	const tol = 1e-9
+	cfg := Stack3D(7.2, 7.2)
+	cfg.Nx, cfg.Ny = 8, 8
+	m := NewModel(cfg)
+	r := rand.New(rand.NewSource(11))
+	base := make([][][]float64, len(m.HeatLayers()))
+	for die := range base {
+		base[die] = make([][]float64, cfg.Ny)
+		for y := range base[die] {
+			base[die][y] = make([]float64, cfg.Nx)
+			for x := range base[die][y] {
+				base[die][y][x] = 0.5 * r.Float64()
+			}
+		}
+	}
+	s0 := m.NewState()
+	for die, g := range base {
+		if err := s0.SetPower(die, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s0.Solve(tol, 200_000); !ok {
+		t.Fatal("the base map did not converge")
+	}
+	for die := range base {
+		for y0 := 0; y0 < cfg.Ny; y0 += 2 {
+			for x0 := 0; x0 < cfg.Nx; x0 += 2 {
+				raised := make([][]float64, cfg.Ny)
+				for y := range raised {
+					raised[y] = append([]float64(nil), base[die][y]...)
+				}
+				for y := y0; y < y0+2; y++ {
+					for x := x0; x < x0+2; x++ {
+						raised[y][x] += 0.25
+					}
+				}
+				s := s0.Clone()
+				if err := s.SetPower(die, raised); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := s.Solve(tol, 200_000); !ok {
+					t.Fatalf("die %d region (%d,%d): did not converge", die, y0, x0)
+				}
+				for l := range cfg.Layers {
+					for y := 0; y < cfg.Ny; y++ {
+						for x := 0; x < cfg.Nx; x++ {
+							if d := s.CellC(l, y, x) - s0.CellC(l, y, x); !(d >= -tol) {
+								t.Fatalf("die %d region (%d,%d): more power moved %s (%d,%d) by %.3g °C", die, y0, x0, cfg.Layers[l].Name, y, x, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
