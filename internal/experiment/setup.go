@@ -125,11 +125,13 @@ func (p *setUp) idle() *ooo.Core {
 	return c
 }
 
-// done takes back a core whose window has finished.
+// done takes back a core whose window has finished. It drops the
+// core's stream, so an idle core keeps no tape alive.
 func (p *setUp) done(c *ooo.Core) {
 	if p == nil {
 		return
 	}
+	c.Release()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.cores) < 2*p.limit {

@@ -445,6 +445,10 @@ func (c *Core) CopyTo(dst *Core, src InstSource) {
 	dst.committedBuf = copied(old.committedBuf, c.committedBuf)
 }
 
+// Release drops the core's instruction source, so that an idle core
+// keeps no stream alive; Reset and CopyTo give it a new one.
+func (c *Core) Release() { c.src = nil }
+
 // copied returns a copy of s, in d's array when that has room for
 // cap(s) elements, so the copy grows as far as s can without
 // reallocating.
