@@ -98,8 +98,6 @@ func (s *Session) simulateGroup(t windowSpec, members []windowSpec, setup *setUp
 	return g.vals
 }
 
-func (g *group) leading() *ooo.Core { return g.trunk.c }
-
 // stepUntil stops early once the trunk serves no window.
 func (g *group) stepUntil(n uint64, drain bool) {
 	c := g.trunk.c
@@ -108,13 +106,14 @@ func (g *group) stepUntil(n uint64, drain bool) {
 	}
 }
 
-// resetStats ends the warm-up of every window on the trunk. Each coupled
-// system resets the trunk's statistics with its own, which the trunk's
-// window has just done: a second reset changes nothing.
-func (g *group) resetStats() {
-	g.trunk.resetStats()
+// endWarmup ends the warm-up of every window on the trunk. Each coupled
+// window resets the trunk's statistics and lifts its fetch budget again,
+// which the trunk's window has just done: the second time changes
+// nothing.
+func (g *group) endWarmup() {
+	g.trunk.endWarmup()
 	for _, w := range g.attached {
-		w.resetStats()
+		w.endWarmup()
 	}
 	g.measuring = true
 }

@@ -134,27 +134,24 @@ func (s *Session) simulate(w windowSpec, setup *setUp) (runValue, error) {
 // A run is what drive steps: one window, or a group of windows on a
 // shared leading core (group.go).
 type run interface {
-	// leading returns the leading core whose commits end the phases.
-	leading() *ooo.Core
 	// stepUntil steps until the leading core has committed n
 	// instructions or, with drain, its pipeline has drained, or nothing
 	// is left to simulate.
 	stepUntil(n uint64, drain bool)
-	// resetStats discards the warm-up's statistics.
-	resetStats()
+	// endWarmup discards the warm-up's statistics and lifts the fetch
+	// budget.
+	endWarmup()
 }
 
 // drive steps r through the rest of its window. Unless measuring, that
 // starts with the warm-up, which ends once Q.WarmupInsts leading-core
-// instructions have committed (or the pipeline has drained) and whose
-// statistics are discarded; the measurement ends once Q.MeasureInsts
-// have committed. A window starts with its fetch budget at
-// Q.WarmupInsts.
+// instructions have committed (or the pipeline has drained); the
+// measurement ends once Q.MeasureInsts have committed. A window starts
+// with its fetch budget at Q.WarmupInsts.
 func (s *Session) drive(r run, measuring bool) {
 	if !measuring {
 		r.stepUntil(s.Q.WarmupInsts, true)
-		r.resetStats()
-		r.leading().SetFetchBudget(^uint64(0))
+		r.endWarmup()
 	}
 	r.stepUntil(s.Q.MeasureInsts, false)
 }
@@ -180,27 +177,23 @@ func newWindow(w windowSpec, c *ooo.Core) (*window, error) {
 	return win, nil
 }
 
-func (w *window) leading() *ooo.Core { return w.c }
-
 func (w *window) stepUntil(n uint64, drain bool) {
-	c := w.c
-	if w.sys == nil {
-		for c.Committed() < n && !(drain && c.Drained()) {
+	for c := w.c; c.Committed() < n && !(drain && c.Drained()); {
+		if w.sys == nil {
 			c.Step(w.spec.lead.CommitWidth)
+		} else {
+			w.sys.Step()
 		}
-		return
-	}
-	for c.Committed() < n && !(drain && c.Drained()) {
-		w.sys.Step()
 	}
 }
 
-func (w *window) resetStats() {
+func (w *window) endWarmup() {
 	if w.sys == nil {
 		w.c.ResetStats()
-		return
+	} else {
+		w.sys.ResetStats()
 	}
-	w.sys.ResetStats()
+	w.c.SetFetchBudget(^uint64(0))
 }
 
 // value returns the window's result.
