@@ -26,9 +26,6 @@ type group struct {
 	// src the trunk core's stream.
 	trunk *window
 	src   *trace.TapeReader
-	// member marks that the trunk's window is one of the group's; the
-	// trunk stops early once it serves no window.
-	member bool
 	// attached holds the coupled windows that have not forked.
 	attached []*window
 	// branch is the core forked windows finish on, once one has forked.
@@ -38,9 +35,9 @@ type group struct {
 }
 
 // fromGroup returns w's value from the run of its group, running the
-// group unless another worker has: ok is false when w shares its
-// leading core with no other window of the running batches, or is
-// missing from the run of the group it joined (w then simulates alone).
+// group unless another worker has: ok is false when w is in no group
+// (setUp.group), or is missing from the run of the group it joined (w
+// then simulates alone).
 func (s *Session) fromGroup(w windowSpec, setup *setUp) (runValue, bool) {
 	if setup == nil {
 		return runValue{}, false
@@ -60,10 +57,9 @@ func (s *Session) fromGroup(w windowSpec, setup *setUp) (runValue, bool) {
 	return v, ok
 }
 
-// simulateGroup runs the windows members, which share the leading core
-// of the trunk window t, as one group, and returns their values. A
-// member whose system cannot be built is left out: it simulates alone,
-// and fails there.
+// simulateGroup runs the windows members, the trunk window t among
+// them, as one group, and returns their values. A member whose system
+// cannot be built is left out: it simulates alone, and fails there.
 func (s *Session) simulateGroup(t windowSpec, members []windowSpec, setup *setUp) map[windowSpec]runValue {
 	src := setup.reader(t.profile, t.seed)
 	c, err := setup.core(t, src)
@@ -73,7 +69,6 @@ func (s *Session) simulateGroup(t windowSpec, members []windowSpec, setup *setUp
 	g := &group{s: s, setup: setup, trunk: &window{spec: t, c: c}, src: src, vals: map[windowSpec]runValue{}}
 	for _, w := range members {
 		if w == t {
-			g.member = true
 			continue
 		}
 		if win, err := newWindow(w, c); err == nil {
@@ -82,9 +77,7 @@ func (s *Session) simulateGroup(t windowSpec, members []windowSpec, setup *setUp
 	}
 	c.SetFetchBudget(s.Q.WarmupInsts)
 	s.drive(g, false)
-	if g.member {
-		g.vals[t] = g.trunk.value()
-	}
+	g.vals[t] = g.trunk.value()
 	for _, w := range g.attached {
 		g.vals[w.spec] = w.value()
 	}
@@ -98,10 +91,8 @@ func (s *Session) simulateGroup(t windowSpec, members []windowSpec, setup *setUp
 	return g.vals
 }
 
-// stepUntil stops early once the trunk serves no window.
 func (g *group) stepUntil(n uint64, drain bool) {
-	c := g.trunk.c
-	for (g.member || len(g.attached) > 0) && c.Committed() < n && !(drain && c.Drained()) {
+	for c := g.trunk.c; c.Committed() < n && !(drain && c.Drained()); {
 		g.step()
 	}
 }

@@ -155,12 +155,15 @@ func (p *setUp) addGroups(ws []windowSpec) {
 }
 
 // group returns the windows of w's group, or nil when w shares its
-// leading core with no other window of the running batches.
+// leading core with no other window of the running batches or the
+// group lacks its trunk window. Without it, the trunk's steps serve only
+// the prefixes the coupled windows share before they fork, which on
+// short windows cost more in copies than they save.
 func (p *setUp) group(w windowSpec) []windowSpec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	g := p.groups[w.trunk()]
-	if len(g) < 2 || !slices.Contains(g, w) {
+	if len(g) < 2 || !slices.Contains(g, w) || !slices.Contains(g, w.trunk()) {
 		return nil
 	}
 	return slices.Clone(g)

@@ -135,8 +135,7 @@ func (s *Session) simulate(w windowSpec, setup *setUp) (runValue, error) {
 // shared leading core (group.go).
 type run interface {
 	// stepUntil steps until the leading core has committed n
-	// instructions or, with drain, its pipeline has drained, or nothing
-	// is left to simulate.
+	// instructions or, with drain, its pipeline has drained.
 	stepUntil(n uint64, drain bool)
 	// endWarmup discards the warm-up's statistics and lifts the fetch
 	// budget.
