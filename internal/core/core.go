@@ -231,8 +231,7 @@ func New(cfg Config, lead *ooo.Core) (*System, error) {
 func (s *System) Lead() *ooo.Core { return s.lead }
 
 // SetLead moves the system onto lead, a copy of its leading core as it
-// stands (ooo.Core.CopyTo), between cycles or between BeginCycle and the
-// leading core's Step.
+// stands (ooo.Core.CopyTo), between cycles.
 func (s *System) SetLead(lead *ooo.Core) { s.lead = lead }
 
 // Checker returns the trailing checker core.
@@ -319,18 +318,31 @@ func (s *System) Progress() uint64 {
 // --- simulation -------------------------------------------------------------
 
 // Step advances the system by one leading-core cycle.
-func (s *System) Step() {
-	s.EndCycle(s.lead.Step(s.BeginCycle()))
+func (s *System) Step() { s.step(nil, false) }
+
+// StepOn advances the system by one leading-core cycle whose leading
+// core the caller has stepped: committed is what it committed, which
+// must be what the system's own leading core commits with this cycle's
+// Budget. Systems that share one leading core step it once at full width
+// and each take its commits, as long as their budgets allow them.
+func (s *System) StepOn(committed []isa.Inst) { s.step(committed, true) }
+
+// Budget returns the commit budget the next cycle gives the leading
+// core, changing nothing: none during a recovery stall, else the room
+// the queues leave (a quiet leading core with empty queues commits
+// nothing whatever the budget). The cycle's DFS step changes only the
+// checker's frequency, so this is the budget the cycle uses.
+func (s *System) Budget() int {
+	if s.recoveryStall > 0 {
+		return 0
+	}
+	return s.commitBudget()
 }
 
-// BeginCycle opens a leading-core cycle, up to the leading core's step:
-// it advances the clock, runs the DFS controller and charges the stall
-// counters, and returns the commit budget for the leading core's Step.
-// The caller steps the leading core with it and hands what it commits
-// to EndCycle; Step does both. The budget is 0 during a recovery stall,
-// and on a cycle when the queues are empty and the leading core is
-// quiet, where no budget changes what it commits.
-func (s *System) BeginCycle() int {
+// step runs one leading-core cycle: the clock, the DFS controller and
+// the commit gate, then the leading core's Step, unless the caller has
+// given its commits, then the queues and the checker's cycles.
+func (s *System) step(committed []isa.Inst, given bool) {
 	dfsDue := s.tick()
 
 	// DFS: adjust checker frequency on queue occupancy. The regular
@@ -356,26 +368,22 @@ func (s *System) BeginCycle() int {
 
 	// Leading core: commit is gated by queue space (and recovery); the
 	// rest of the pipeline keeps running even with a zero commit budget.
+	budget := 0
 	switch {
 	case s.recoveryStall > 0:
 		s.recoveryStall--
 		s.st.RecoveryStalls++
-		return 0
-	case s.rvqCount == 0 && s.lead.Quiet():
+	case s.rvqCount == 0 && (given || s.lead.Quiet()):
 		// Empty queues leave a non-zero budget, and a quiet core commits
 		// nothing whatever its budget.
-		return 0
+	default:
+		if budget = s.commitBudget(); budget == 0 {
+			s.st.LeadStallCycles++
+		}
 	}
-	budget := s.commitBudget()
-	if budget == 0 {
-		s.st.LeadStallCycles++
+	if !given {
+		committed = s.lead.Step(budget)
 	}
-	return budget
-}
-
-// EndCycle closes the cycle BeginCycle opened: it queues what the
-// leading core committed and runs the checker's cycles.
-func (s *System) EndCycle(committed []isa.Inst) {
 	for i := range committed {
 		s.push(&committed[i])
 	}

@@ -109,16 +109,14 @@ func (g *group) endWarmup() {
 	g.measuring = true
 }
 
-// step runs one cycle of the group: each coupled window opens its cycle,
-// a window whose budget is below what the trunk will commit forks, the
-// trunk steps at full width, and the windows still on it take its
-// commits.
+// step runs one cycle of the group: a coupled window whose budget is
+// below what the trunk will commit forks, the trunk steps at full width,
+// and the windows still on it take its commits.
 func (g *group) step() {
 	n := g.trunk.c.NextCommits()
 	for i := 0; i < len(g.attached); {
-		w := g.attached[i]
-		if b := w.sys.BeginCycle(); b < n {
-			g.fork(w, b)
+		if w := g.attached[i]; w.sys.Budget() < n {
+			g.fork(w)
 			g.attached = slices.Delete(g.attached, i, i+1)
 			continue
 		}
@@ -126,13 +124,13 @@ func (g *group) step() {
 	}
 	committed := g.trunk.c.Step(g.trunk.spec.lead.CommitWidth)
 	for _, w := range g.attached {
-		w.sys.EndCycle(committed)
+		w.sys.StepOn(committed)
 	}
 }
 
-// fork moves w, whose cycle is open with budget b, onto a copy of the
-// trunk as it stands, steps the cycle and runs w to its end.
-func (g *group) fork(w *window, b int) {
+// fork moves w onto a copy of the trunk as it stands and runs it to its
+// end, starting with the cycle the trunk is about to step.
+func (g *group) fork(w *window) {
 	if g.branch == nil {
 		if g.branch = g.setup.idle(); g.branch == nil {
 			g.branch = new(ooo.Core)
@@ -141,7 +139,6 @@ func (g *group) fork(w *window, b int) {
 	g.trunk.c.CopyTo(g.branch, g.src.Clone())
 	w.c = g.branch
 	w.sys.SetLead(g.branch)
-	w.sys.EndCycle(g.branch.Step(b))
 	g.s.drive(w, g.measuring)
 	g.vals[w.spec] = w.value()
 }
