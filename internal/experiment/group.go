@@ -111,10 +111,11 @@ func (g *group) endWarmup() {
 
 // step runs one cycle of the group: a coupled window whose budget is
 // below what the trunk will commit forks, the trunk steps at full width,
-// and the windows still on it take its commits.
+// and the windows still on it take its commits. A cycle in which the
+// trunk commits nothing forks no window.
 func (g *group) step() {
 	n := g.trunk.c.NextCommits()
-	for i := 0; i < len(g.attached); {
+	for i := 0; n > 0 && i < len(g.attached); {
 		if w := g.attached[i]; w.sys.Budget() < n {
 			g.fork(w)
 			g.attached = slices.Delete(g.attached, i, i+1)
