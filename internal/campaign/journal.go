@@ -64,10 +64,9 @@ type journal struct {
 	log *ckpt.Log
 	// r3dlint:guardedby mu
 	err error // first append error, surfaced at close
-	// appended counts this run's records, and unsynced those not yet
-	// synced.
+	// appended counts this run's records.
 	// r3dlint:guardedby mu
-	appended, unsynced int
+	appended int
 }
 
 // openJournal prepares the journal at path. Without resume the file is
@@ -98,7 +97,8 @@ func openJournal(fsys iofault.FS, path string, fingerprint string, resume bool) 
 }
 
 // append journals one outcome, syncing the first record and then every
-// syncEvery-th unsynced one. ckpt retries transient storage faults
+// syncEvery-th after it (records 1, 33, 65, …: sync runs only once the
+// workers have drained). ckpt retries transient storage faults
 // in-line. Errors are sticky and surfaced at close so workers never have
 // to unwind mid-trial for an I/O failure.
 func (j *journal) append(out TrialOutcome) {
@@ -111,8 +111,7 @@ func (j *journal) append(out TrialOutcome) {
 		j.err = fmt.Errorf("campaign: journal append: %w", err)
 		return
 	}
-	j.appended++
-	if j.unsynced++; j.appended == 1 || j.unsynced >= syncEvery {
+	if j.appended++; j.appended%syncEvery == 1 {
 		j.syncLocked()
 	}
 }
@@ -131,9 +130,7 @@ func (j *journal) syncLocked() {
 	}
 	if err := j.log.Sync(); err != nil {
 		j.err = fmt.Errorf("campaign: journal sync: %w", err)
-		return
 	}
-	j.unsynced = 0
 }
 
 func (j *journal) close() error {
