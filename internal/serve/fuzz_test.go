@@ -16,12 +16,14 @@ import (
 
 // FuzzSubmit posts arbitrary bytes to the submit handler. The server's
 // one job worker is held by a gate job whose trial build waits for the
-// fuzz target to end, so no fuzzed job runs a trial or an experiment:
-// accepted jobs queue behind the gate, and a full queue answers 503.
-// Nothing may panic, and every reply must be 200 or 202 with a job ID,
-// or 4xx or 503 with an error body. The corpus starts from the bodies
-// the package's tests and cmd/r3dservesmoke send, plus truncated,
-// oversized and unknown-field bodies.
+// server to drain, so no fuzzed job runs a trial or an experiment:
+// accepted jobs queue behind the gate, and a full queue answers 429.
+// Queued jobs hold their admission slots, so once the queue is full the
+// target drains the server and starts a fresh one, which keeps the
+// accept path reachable. Nothing may panic, and every reply must be 200
+// or 202 with a job ID, or 4xx or 503 with an error body. The corpus
+// starts from the bodies the package's tests and cmd/r3dservesmoke send,
+// plus truncated, oversized and unknown-field bodies.
 func FuzzSubmit(f *testing.F) {
 	for _, sub := range []Submission{
 		{Kind: KindCampaign, Grid: tinyGrid(1)},
@@ -50,41 +52,11 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(`{"kind": "experiment", "experiment": "` + strings.Repeat("x", maxSubmissionBytes) + `"}`))
 
-	release := make(chan struct{})
-	s, err := New(Options{
-		Tiers:           []Tier{{Name: "tiny", Quality: tinyQuality()}},
-		QueueBound:      256,
-		MaxTrialsPerJob: 4,
-		Builder: func(campaign.TrialSpec) (*core.System, error) {
-			<-release
-			return nil, errors.New("fuzz: no trial runs")
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, serr := s.Submit(Submission{Kind: KindCampaign, Grid: tinyGrid(0)}, "gate"); serr != nil {
-		f.Fatal(serr)
-	}
-	f.Cleanup(func() {
-		drained := make(chan struct{})
-		go func() {
-			s.Drain()
-			close(drained)
-		}()
-		// Drain cancels every queued job before it waits for the
-		// worker; open the gate only then, so no fuzzed job starts.
-		for !s.Draining() || queuedJobs(s) > 0 {
-			time.Sleep(time.Millisecond)
-		}
-		close(release)
-		<-drained
-	})
-
-	h := s.Handler()
+	g := newGatedServer(f)
+	f.Cleanup(func() { g.close() })
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))
+		g.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(body)))
 		switch code := rec.Code; {
 		case code == http.StatusOK || code == http.StatusAccepted:
 			var res SubmitResult
@@ -99,7 +71,55 @@ func FuzzSubmit(f *testing.F) {
 		default:
 			t.Fatalf("reply %d: %q", code, rec.Body.Bytes())
 		}
+		// The server has no rate limit, so a 429 means the queue is full.
+		if rec.Code == http.StatusTooManyRequests {
+			g.close()
+			g = newGatedServer(t)
+		}
 	})
+}
+
+// gatedServer is a server whose one job worker is held by a gate job.
+type gatedServer struct {
+	s       *Server
+	h       http.Handler
+	release chan struct{}
+}
+
+func newGatedServer(tb testing.TB) *gatedServer {
+	release := make(chan struct{})
+	s, err := New(Options{
+		Tiers:           []Tier{{Name: "tiny", Quality: tinyQuality()}},
+		QueueBound:      256,
+		MaxTrialsPerJob: 4,
+		Builder: func(campaign.TrialSpec) (*core.System, error) {
+			<-release
+			return nil, errors.New("fuzz: no trial runs")
+		},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, serr := s.Submit(Submission{Kind: KindCampaign, Grid: tinyGrid(0)}, "gate"); serr != nil {
+		tb.Fatal(serr)
+	}
+	return &gatedServer{s: s, h: s.Handler(), release: release}
+}
+
+// close drains the server. Drain cancels every queued job before it
+// waits for the worker; the gate opens only then, so no fuzzed job
+// starts.
+func (g *gatedServer) close() {
+	drained := make(chan struct{})
+	go func() {
+		g.s.Drain()
+		close(drained)
+	}()
+	for !g.s.Draining() || queuedJobs(g.s) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(g.release)
+	<-drained
 }
 
 // queuedJobs counts the jobs no worker has started.
