@@ -173,7 +173,9 @@ func BenchmarkSection4(b *testing.B) {
 // BenchmarkLeadingCore measures raw out-of-order simulation speed
 // (reported as ns and allocs per simulated instruction) on a
 // compute-bound profile (gzip) and a memory-bound one (mcf), whose L2
-// misses leave the core idle for hundreds of cycles at a time.
+// misses leave the core idle for hundreds of cycles at a time. It
+// advances as the experiment windows do, each quiet stretch in one call
+// (ooo.Core.Advance).
 func BenchmarkLeadingCore(b *testing.B) {
 	for _, name := range []string{"gzip", "mcf"} {
 		b.Run(name, func(b *testing.B) {
@@ -192,7 +194,7 @@ func BenchmarkLeadingCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				target++
 				for c.Committed() < target {
-					c.Step(4)
+					c.Advance(4)
 				}
 			}
 		})
@@ -202,8 +204,10 @@ func BenchmarkLeadingCore(b *testing.B) {
 // BenchmarkCoupledCore measures the RMT system's step loop on the same
 // profiles without the set-up BenchmarkReliableSystem pays every op:
 // one system per profile, warmed over 20,000 instructions, steps until
-// one more instruction commits. Its gap to BenchmarkLeadingCore is the
-// cost of coupling the checker to the leading core.
+// one more instruction commits, each quiet stretch of the leading core
+// in one call as the experiment windows run it (core.System.Advance).
+// Its gap to BenchmarkLeadingCore is the cost of coupling the checker
+// to the leading core.
 func BenchmarkCoupledCore(b *testing.B) {
 	for _, name := range []string{"gzip", "mcf"} {
 		b.Run(name, func(b *testing.B) {
@@ -228,7 +232,7 @@ func BenchmarkCoupledCore(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				target++
 				for lead.Committed() < target {
-					sys.Step()
+					sys.Advance(^uint64(0))
 				}
 			}
 		})

@@ -44,7 +44,7 @@ func main() {
 			c.ResetStats()
 			c.SetFetchBudget(^uint64(0))
 			for c.Stats().Instructions < *meas {
-				c.Step(4)
+				c.Advance(4)
 			}
 			totIns += *warm + *meas
 			return c.Stats()

@@ -492,15 +492,15 @@ func RunSupervised(sys *core.System, cfg fault.CampaignConfig, wd Watchdog) (out
 	lastProgress := sys.Progress()
 	lastAdvance := uint64(0)
 	// The watchdog probes on every cycle count that is a multiple of
-	// CheckEveryCycles; camp.Cycles() starts at 0 and each Step adds one,
-	// so a countdown finds them without a division per cycle.
+	// CheckEveryCycles; camp.Cycles() starts at 0, and each Advance runs
+	// at most the cycles left to the next probe, so a countdown finds
+	// them without a division per cycle.
 	probeIn := wd.CheckEveryCycles
 	for !camp.Done() {
 		if camp.BudgetExhausted() {
 			return hung(ReasonCycleBudget)
 		}
-		camp.Step()
-		if probeIn--; probeIn > 0 {
+		if probeIn -= camp.Advance(probeIn); probeIn > 0 {
 			continue
 		}
 		probeIn = wd.CheckEveryCycles

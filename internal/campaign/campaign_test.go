@@ -414,3 +414,79 @@ func TestOnOutcomeObservesEveryFreshTrial(t *testing.T) {
 		t.Error("resumed report not byte-identical to fresh run")
 	}
 }
+
+// superviseByStep is RunSupervised's watchdog loop stepping one cycle
+// at a time, the reference for the stretches RunSupervised runs.
+func superviseByStep(t *testing.T, sys *core.System, cfg fault.CampaignConfig, wd Watchdog) TrialOutcome {
+	t.Helper()
+	camp, err := fault.NewCampaign(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hung := func(reason string) TrialOutcome {
+		res := camp.Result()
+		return TrialOutcome{Status: StatusHung, Reason: reason, HungAtCycle: camp.Cycles(), Result: &res}
+	}
+	lastProgress, lastAdvance := sys.Progress(), uint64(0)
+	for !camp.Done() {
+		if camp.BudgetExhausted() {
+			return hung(ReasonCycleBudget)
+		}
+		camp.Step()
+		if camp.Cycles()%wd.CheckEveryCycles != 0 {
+			continue
+		}
+		if p := sys.Progress(); p > lastProgress {
+			lastProgress, lastAdvance = p, camp.Cycles()
+		} else if camp.Cycles()-lastAdvance >= wd.NoProgressCycles {
+			return hung(ReasonNoProgress)
+		}
+	}
+	res := camp.Result()
+	return TrialOutcome{Status: StatusOK, Result: &res}
+}
+
+// TestSupervisedStretchesMatchSteps: RunSupervised, which runs quiet
+// stretches of the leading core in one call, ends every trial as the
+// watchdog loop stepping cycle by cycle does, at a probe interval that
+// divides no stretch evenly: the same status, reason, hung cycle and
+// result for soft errors in the leading core and the trailer register
+// file, the timing hook, a wedge the no-progress deadline catches and
+// one the cycle budget stops.
+func TestSupervisedStretchesMatchSteps(t *testing.T) {
+	wd := Watchdog{NoProgressCycles: 6_000, CheckEveryCycles: 333}
+	base := fault.CampaignConfig{Instructions: 15_000, CycleBudget: fault.DefaultCycleBudget(15_000), Seed: 9}
+	cases := []struct {
+		bench string
+		edit  func(*fault.CampaignConfig)
+	}{
+		{"mcf", func(c *fault.CampaignConfig) { c.LeadSoftPerMCycle, c.CheckerSoftPerMCycle = 400, 3000 }},
+		{"gzip", func(c *fault.CampaignConfig) { c.LeadSoftPerMCycle, c.CheckerSoftPerMCycle = 600, 1000 }},
+		{"mcf", func(c *fault.CampaignConfig) {
+			c.EnableTiming, c.TimingNode, c.CritPathPs, c.TimingAccel = true, tech.Node90, 700, 0.05
+		}},
+		{"art", func(c *fault.CampaignConfig) { c.LivelockAfterCycles = 4_321 }},
+		{"mcf", func(c *fault.CampaignConfig) { c.LivelockAfterCycles, c.CycleBudget = 2_000, 5_555 }},
+	}
+	for i, c := range cases {
+		cfg := base
+		c.edit(&cfg)
+		spec := TrialSpec{ID: "t", Bench: c.bench, Config: cfg}
+		fast, err := BuildSystem(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := BuildSystem(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := RunSupervised(fast, cfg, wd), superviseByStep(t, ref, cfg, wd)
+		if got.Status != want.Status || got.Reason != want.Reason || got.HungAtCycle != want.HungAtCycle ||
+			got.Result == nil || want.Result == nil || *got.Result != *want.Result {
+			t.Errorf("case %d (%s): supervised %+v %+v, Step by Step %+v %+v", i, c.bench, got, got.Result, want, want.Result)
+		}
+		if fast.Stats() != ref.Stats() || fast.Checker().Stats() != ref.Checker().Stats() {
+			t.Errorf("case %d (%s): system statistics differ", i, c.bench)
+		}
+	}
+}

@@ -134,6 +134,7 @@ type Traffic struct {
 
 // SystemStats aggregates the RMT run.
 type SystemStats struct {
+	// WallTimePs is Cycles at the leading period, derived when read.
 	WallTimePs        float64
 	LeadStallCycles   uint64 // commit stalled on queue space
 	RecoveryStalls    uint64 // cycles stalled during error recovery
@@ -186,8 +187,13 @@ type System struct {
 	recoveryStall int
 	wedged        bool
 
-	freqHist *stats.Histogram
-	st       SystemStats
+	// freqBins is FreqResidency's shape, which places a frequency ratio
+	// in its bin and holds no weight; residency counts the leading
+	// cycles spent in each bin. Counting cycles as integers keeps the
+	// residency exact whether a cycle is charged alone or in a stretch.
+	freqBins  *stats.Histogram
+	residency []uint64
+	st        SystemStats
 
 	hook CheckerCycleHook
 
@@ -218,14 +224,19 @@ func New(cfg Config, lead *ooo.Core) (*System, error) {
 		rvq:          make([]inorder.Entry, cfg.RVQSize),
 		leadPeriodPs: 1000.0 / cfg.LeadFreqGHz,
 		dfsCountdown: cfg.DFSIntervalCycles,
-		freqHist:     stats.NewHistogram(0, 1.0001, 10),
+		freqBins:     newFreqHist(),
 		corruptReg:   map[isa.Reg]uint64{},
 		view:         make([]inorder.Entry, cfg.Checker.Width),
 		outcomes:     make([]inorder.CheckOutcome, cfg.Checker.Width),
 	}
+	s.residency = make([]uint64, len(s.freqBins.Counts))
 	s.setCheckerFreq(cfg.FreqStepGHz) // start at the lowest step
 	return s, nil
 }
+
+// newFreqHist returns an empty frequency-residency histogram: 10 bins of
+// 0.1 of the leading frequency.
+func newFreqHist() *stats.Histogram { return stats.NewHistogram(0, 1.0001, 10) }
 
 // Lead returns the leading core.
 func (s *System) Lead() *ooo.Core { return s.lead }
@@ -238,16 +249,20 @@ func (s *System) SetLead(lead *ooo.Core) { s.lead = lead }
 func (s *System) Checker() *inorder.Checker { return s.checker }
 
 // Stats returns a copy of the system statistics.
-func (s *System) Stats() SystemStats { return s.st }
+func (s *System) Stats() SystemStats {
+	st := s.st
+	st.WallTimePs = float64(st.Cycles) * s.leadPeriodPs
+	return st
+}
 
 // ResetStats zeroes the system, leading-core and checker statistics and
-// the frequency-residency histogram while keeping all microarchitectural
-// and queue state — used to discard warmup windows.
+// the frequency residency while keeping all microarchitectural and
+// queue state — used to discard warmup windows.
 func (s *System) ResetStats() {
 	s.st = SystemStats{}
 	s.lead.ResetStats()
 	s.checker.ResetStats()
-	s.freqHist = stats.NewHistogram(0, 1.0001, 10)
+	clear(s.residency)
 }
 
 // CheckerFreqGHz returns the checker's current DFS frequency.
@@ -255,12 +270,22 @@ func (s *System) CheckerFreqGHz() float64 { return s.checkerFreqGHz }
 
 // FreqResidency returns the histogram of wall-clock time spent at each
 // normalized checker frequency (f_checker / f_lead, 10 bins of 0.1) —
-// the paper's Figure 7.
-func (s *System) FreqResidency() *stats.Histogram { return s.freqHist }
+// the paper's Figure 7 — built from the cycle counts when called. Each
+// bin weighs its cycles at the leading period; at the 500 ps of the
+// 2 GHz lead clock every such weight and every partial sum of them is
+// an exact integer, so the histogram is the one a per-cycle float
+// accumulation gives, bit for bit.
+func (s *System) FreqResidency() *stats.Histogram {
+	h := newFreqHist()
+	for i, n := range s.residency {
+		h.Add(h.BinCenter(i), float64(n)*s.leadPeriodPs)
+	}
+	return h
+}
 
 // MeanCheckerFreqGHz returns the time-weighted average checker frequency.
 func (s *System) MeanCheckerFreqGHz() float64 {
-	return s.freqHist.WeightedMeanValue() * s.cfg.LeadFreqGHz
+	return s.FreqResidency().WeightedMeanValue() * s.cfg.LeadFreqGHz
 }
 
 // SetCheckerCycleHook installs a per-checker-cycle hook (fault
@@ -352,7 +377,7 @@ func (s *System) step(committed []isa.Inst, given bool) {
 	// single cycle, and its chosen heuristic is deliberately the less
 	// aggressive one that "doesn't degrade the main core's performance
 	// by itself".
-	if s.cfg.EmergencyRamp && s.rvqCount >= s.cfg.RVQSize-2*s.cfg.Lead.CommitWidth {
+	if s.ramping() {
 		if s.checkerFreqGHz < s.cfg.CheckerMaxFreqGHz-1e-9 {
 			s.setCheckerFreq(s.checkerFreqGHz + s.cfg.FreqStepGHz)
 		}
@@ -364,7 +389,7 @@ func (s *System) step(committed []isa.Inst, given bool) {
 			s.setCheckerFreq(s.checkerFreqGHz - s.cfg.FreqStepGHz)
 		}
 	}
-	s.freqHist.AddBin(s.freqBin, s.leadPeriodPs)
+	s.residency[s.freqBin]++
 
 	// Leading core: commit is gated by queue space (and recovery); the
 	// rest of the pipeline keeps running even with a zero commit budget.
@@ -373,7 +398,7 @@ func (s *System) step(committed []isa.Inst, given bool) {
 	case s.recoveryStall > 0:
 		s.recoveryStall--
 		s.st.RecoveryStalls++
-	case s.rvqCount == 0 && (given || s.lead.Quiet()):
+	case s.rvqCount == 0 && (given || s.lead.Quiet() > 0):
 		// Empty queues leave a non-zero budget, and a quiet core commits
 		// nothing whatever its budget.
 	default:
@@ -400,13 +425,68 @@ func (s *System) step(committed []isa.Inst, given bool) {
 	}
 }
 
+// StepQuiet runs k cycles in which the system's leading core commits
+// nothing, exactly as k StepOn(nil) calls would; the caller has run the
+// core through them (ooo.Core.Skip), or shares a core that commits
+// nothing in them. Between events the cycles are charged in bulk: with
+// no commits the queues change only at a checker cycle, and the checker
+// frequency only at a DFS interval's end, so every cycle up to the next
+// checker cycle adds the same counts. Only the checker's credit is still
+// added once per cycle, as Step adds it, since a sum of float ratios
+// rounds differently from their product. A run of checker cycles over
+// an empty RVQ changes nothing but the checker's cycle counts, so it is
+// counted in one call. A recovery stall (also one that a checker cycle
+// starts mid-stretch), a checker hook, a wedge, the emergency ramp and
+// the cycle that ends a DFS interval take Step's per-cycle body.
+func (s *System) StepQuiet(k uint64) {
+	for k > 0 {
+		if s.recoveryStall > 0 || s.hook != nil || s.wedged || s.ramping() || s.dfsCountdown == 1 {
+			s.step(nil, true)
+			k--
+			continue
+		}
+		n, empty := uint64(0), uint64(0)
+		for limit := min(k, uint64(s.dfsCountdown-1)); n < limit; {
+			n++
+			if s.credit += s.freqRatio; s.credit < 1 {
+				continue
+			}
+			if s.rvqCount > 0 {
+				break
+			}
+			for ; s.credit >= 1; empty++ {
+				s.credit--
+			}
+		}
+		s.checker.StepEmpty(empty)
+		s.charge(n)
+		for s.credit >= 1 {
+			s.credit--
+			s.checkerCycle()
+		}
+		k -= n
+	}
+}
+
+// Advance runs the next cycle, or, when the leading core is quiet, its
+// quiet stretch in one call, at most limit cycles (limit ≥ 1): the core
+// skips the stretch and StepQuiet runs it. It returns the cycles run.
+func (s *System) Advance(limit uint64) uint64 {
+	if k := min(s.lead.Quiet(), limit); k > 0 {
+		s.lead.Skip(k)
+		s.StepQuiet(k)
+		return k
+	}
+	s.Step()
+	return 1
+}
+
 // tick opens a leading cycle for Step and Drain alike: it advances the
-// clock, charges the cycle's wall time and RVQ occupancy, and reports
-// whether a DFS interval ends with it.
+// clock, charges the cycle's RVQ occupancy, and reports whether a DFS
+// interval ends with it.
 func (s *System) tick() bool {
 	s.cycle++
 	s.st.Cycles++
-	s.st.WallTimePs += s.leadPeriodPs
 	s.st.RVQOccupancySum += uint64(s.rvqCount)
 	if s.dfsCountdown--; s.dfsCountdown > 0 {
 		return false
@@ -415,11 +495,32 @@ func (s *System) tick() bool {
 	return true
 }
 
+// charge adds n cycles, none of which ends a DFS interval, to the clock
+// and the counts, as n ticks and their residency and commit-stall counts
+// would with the queues and the frequency as they stand, no recovery
+// stall and a leading core that commits nothing.
+func (s *System) charge(n uint64) {
+	s.cycle += n
+	s.st.Cycles += n
+	s.st.RVQOccupancySum += uint64(s.rvqCount) * n
+	s.dfsCountdown -= int(n)
+	s.residency[s.freqBin] += n
+	if s.rvqCount > 0 && s.commitBudget() == 0 {
+		s.st.LeadStallCycles += n
+	}
+}
+
+// ramping reports whether the RVQ is close enough to full for the
+// emergency ramp to act.
+func (s *System) ramping() bool {
+	return s.cfg.EmergencyRamp && s.rvqCount >= s.cfg.RVQSize-2*s.cfg.Lead.CommitWidth
+}
+
 // setCheckerFreq moves the checker to f GHz.
 func (s *System) setCheckerFreq(f float64) {
 	s.checkerFreqGHz = f
 	s.freqRatio = f / s.cfg.LeadFreqGHz
-	s.freqBin = s.freqHist.BinOf(s.freqRatio)
+	s.freqBin = s.freqBins.BinOf(s.freqRatio)
 }
 
 // commitBudget bounds this cycle's leading-core commits by the free
@@ -561,13 +662,14 @@ func (s *System) onErrorDetected(unrecoverable bool) {
 }
 
 // Run advances the system until the leading core has committed n
-// instructions, and returns the final statistics.
+// instructions, and returns the final statistics. It runs each quiet
+// stretch of the leading core in one call (Advance).
 func (s *System) Run(n uint64) SystemStats {
 	s.lead.SetFetchBudget(n)
 	for s.lead.Committed() < n && !s.lead.Drained() {
-		s.Step()
+		s.Advance(^uint64(0))
 	}
-	return s.st
+	return s.Stats()
 }
 
 // Drain services the paper's interrupt/exception barrier: the leading
@@ -584,7 +686,7 @@ func (s *System) Drain() uint64 {
 		// The checker sprints at its peak frequency to clear the queue
 		// (DFS would ramp anyway with the leading thread stalled).
 		s.setCheckerFreq(s.cfg.CheckerMaxFreqGHz)
-		s.freqHist.AddBin(s.freqBin, s.leadPeriodPs)
+		s.residency[s.freqBin]++
 		s.lead.Step(0)
 		s.st.LeadStallCycles++
 		s.credit += s.freqRatio

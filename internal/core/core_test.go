@@ -280,13 +280,32 @@ func TestProgressAdvancesOnCleanRun(t *testing.T) {
 }
 
 // TestSystemStepDoesNotAllocate: the queues and the checker's view are
-// preallocated, so no cycle of a clean run allocates.
+// preallocated, so no cycle of a clean run allocates, stepped one at a
+// time or through quiet stretches in one call.
 func TestSystemStepDoesNotAllocate(t *testing.T) {
 	s := newSystem(t, "mcf", 4)
 	s.Run(5000)
 	s.Lead().SetFetchBudget(^uint64(0)) // keep the pipeline busy while measuring
 	if n := testing.AllocsPerRun(2000, s.Step); n != 0 {
 		t.Errorf("Step allocates %.2f times per cycle, want 0", n)
+	}
+	// AllocsPerRun rounds down to whole allocations per run, so each run
+	// advances until it has run one quiet stretch in one call.
+	var stretches int
+	stretch := func() {
+		for range 10_000 {
+			if s.Advance(1000) > 1 {
+				stretches++
+				return
+			}
+		}
+	}
+	const runs = 500
+	if n := testing.AllocsPerRun(runs, stretch); n != 0 {
+		t.Errorf("a quiet stretch allocates %.2f times, want 0", n)
+	}
+	if stretches != runs+1 { // AllocsPerRun adds one warm-up run
+		t.Errorf("%d of %d runs reached a quiet stretch", stretches, runs+1)
 	}
 }
 

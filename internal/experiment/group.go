@@ -112,8 +112,17 @@ func (g *group) endWarmup() {
 // step runs one cycle of the group: a coupled window whose budget is
 // below what the trunk will commit forks, the trunk steps at full width,
 // and the windows still on it take its commits. A cycle in which the
-// trunk commits nothing forks no window.
+// trunk commits nothing forks no window, so a quiet stretch of the trunk
+// runs in one call: the trunk skips it, and each window still on it
+// runs the stretch alone (core.System.StepQuiet).
 func (g *group) step() {
+	if k := g.trunk.c.Quiet(); k > 0 {
+		g.trunk.c.Skip(k)
+		for _, w := range g.attached {
+			w.sys.StepQuiet(k)
+		}
+		return
+	}
 	n := g.trunk.c.NextCommits()
 	for i := 0; n > 0 && i < len(g.attached); {
 		if w := g.attached[i]; w.sys.Budget() < n {

@@ -176,12 +176,15 @@ func newWindow(w windowSpec, c *ooo.Core) (*window, error) {
 	return win, nil
 }
 
+// stepUntil runs each quiet stretch of the leading core in one call: a
+// standalone core skips it, and a coupled system runs it after its core
+// has (core.System.Advance).
 func (w *window) stepUntil(n uint64, drain bool) {
 	for c := w.c; c.Committed() < n && !(drain && c.Drained()); {
 		if w.sys == nil {
-			c.Step(w.spec.lead.CommitWidth)
+			c.Advance(w.spec.lead.CommitWidth)
 		} else {
-			w.sys.Step()
+			w.sys.Advance(^uint64(0))
 		}
 	}
 }

@@ -140,6 +140,19 @@ func (s *SoftErrorInjector) exp(ratePerM float64) uint64 {
 	return uint64(s.rng.ExpFloat64() * 1e6 / ratePerM)
 }
 
+// quiet returns how many Ticks from now inject nothing.
+func (s *SoftErrorInjector) quiet() uint64 { return min(s.nextLead, s.nextChecker) }
+
+// skip runs k Ticks that inject nothing (k at most quiet()).
+func (s *SoftErrorInjector) skip(k uint64) {
+	if s.nextLead != ^uint64(0) {
+		s.nextLead -= k
+	}
+	if s.nextChecker != ^uint64(0) {
+		s.nextChecker -= k
+	}
+}
+
 // Tick advances one leading cycle, injecting due faults into sys.
 func (s *SoftErrorInjector) Tick(sys *core.System) {
 	if s.nextLead != ^uint64(0) {
@@ -265,8 +278,9 @@ func (r CampaignResult) Coverage() float64 {
 }
 
 // Campaign is a stepwise injection run over one RMT system: the
-// injectors are wired at construction and each Step advances one leading
-// cycle. RunCampaign drives it to completion serially; the worker-pool
+// injectors are wired at construction, each Step advances one leading
+// cycle, and Advance runs a quiet stretch of the leading core in one
+// call. RunCampaign drives it to completion serially; the worker-pool
 // harness in internal/campaign drives it under a forward-progress
 // watchdog instead, interleaving progress checks between steps.
 type Campaign struct {
@@ -304,6 +318,31 @@ func (c *Campaign) Step() {
 	}
 	c.soft.Tick(c.sys)
 	c.sys.Step()
+}
+
+// Advance runs the next cycle as Step does, or, when the leading core is
+// quiet, a stretch of at most limit cycles (limit ≥ 1) in one call, and
+// returns the cycles run. A stretch ends before the soft-error
+// injector's next injection, before the cycle the livelock wedge is
+// armed at, and at the cycle budget, so every injection, wedge and
+// budget check falls on the cycle Step by Step would give it.
+func (c *Campaign) Advance(limit uint64) uint64 {
+	k := min(limit, c.sys.Lead().Quiet(), c.soft.quiet())
+	if c.cycles < c.cfg.CycleBudget {
+		k = min(k, c.cfg.CycleBudget-c.cycles)
+	}
+	if w := c.cfg.LivelockAfterCycles; w > c.cycles {
+		k = min(k, w-c.cycles-1)
+	}
+	if k == 0 {
+		c.Step()
+		return 1
+	}
+	c.cycles += k
+	c.soft.skip(k)
+	c.sys.Lead().Skip(k)
+	c.sys.StepQuiet(k)
+	return k
 }
 
 // Done reports whether the instruction target is reached (or the
@@ -361,7 +400,7 @@ func RunCampaign(sys *core.System, cfg CampaignConfig) (CampaignResult, error) {
 			return c.Result(), fmt.Errorf("%w: %d cycles spent, %d/%d instructions",
 				ErrCycleBudget, c.cycles, sys.Lead().Stats().Instructions, cfg.Instructions)
 		}
-		c.Step()
+		c.Advance(^uint64(0))
 	}
 	return c.Result(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"r3d/internal/core"
@@ -325,5 +326,57 @@ func TestDeterministicCampaign(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("campaign not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestCampaignAdvanceMatchesSteps: RunCampaign, which runs each quiet
+// stretch of the leading core in one call (Campaign.Advance), ends as a
+// loop of Step ends: the same result, system, checker and leading-core
+// statistics, frequency residency and budget error, with soft errors
+// injected into the leading core and the trailer register file at rates
+// that put injections inside stretches, the per-checker-cycle timing
+// hook, and a livelock wedge that runs into the cycle budget.
+func TestCampaignAdvanceMatchesSteps(t *testing.T) {
+	for _, c := range []struct {
+		name, bench string
+		maxGHz      float64
+		cfg         CampaignConfig
+	}{
+		{"gzip/soft", "gzip", 0, CampaignConfig{LeadSoftPerMCycle: 500, CheckerSoftPerMCycle: 2000}},
+		{"mcf/soft", "mcf", 0, CampaignConfig{LeadSoftPerMCycle: 300, CheckerSoftPerMCycle: 3000}},
+		{"mcf/timing", "mcf", 1.4, CampaignConfig{EnableTiming: true, TimingNode: tech.Node90, CritPathPs: 700, TimingAccel: 0.05, LeadSoftPerMCycle: 200}},
+		{"art/livelock", "art", 0, CampaignConfig{LeadSoftPerMCycle: 300, LivelockAfterCycles: 7_777, CycleBudget: 40_001}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Instructions, cfg.Seed = 20_000, 5
+			if cfg.CycleBudget == 0 {
+				cfg.CycleBudget = DefaultCycleBudget(cfg.Instructions)
+			}
+			fast, ref := newSystem(t, c.bench, 3, c.maxGHz), newSystem(t, c.bench, 3, c.maxGHz)
+			got, gotErr := RunCampaign(fast, cfg)
+			camp, err := NewCampaign(ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !camp.Done() && !camp.BudgetExhausted() {
+				camp.Step()
+			}
+			if want := camp.Result(); got != want {
+				t.Fatalf("result\n%+v\nStep by Step\n%+v", got, want)
+			}
+			if errors.Is(gotErr, ErrCycleBudget) != camp.BudgetExhausted() {
+				t.Errorf("budget error %v, Step by Step exhausted %v", gotErr, camp.BudgetExhausted())
+			}
+			if fast.Stats() != ref.Stats() || fast.Checker().Stats() != ref.Checker().Stats() || fast.Lead().Stats() != ref.Lead().Stats() {
+				t.Errorf("statistics differ:\n%+v\n%+v", fast.Stats(), ref.Stats())
+			}
+			if !slices.Equal(fast.FreqResidency().Counts, ref.FreqResidency().Counts) {
+				t.Errorf("residency %v, Step by Step %v", fast.FreqResidency().Counts, ref.FreqResidency().Counts)
+			}
+			if got.LeadInjected+got.RFInjected+got.TimingInjected == 0 {
+				t.Error("nothing was injected")
+			}
+		})
 	}
 }

@@ -218,6 +218,13 @@ done:
 	return n
 }
 
+// StepEmpty runs n checker cycles over an empty window in one call, as n
+// Steps given nothing would.
+func (c *Checker) StepEmpty(n uint64) {
+	c.stats.Cycles += n
+	c.stats.EmptyCycles += n
+}
+
 // check verifies one instruction against the trailer register file and
 // updates architectural state. The comparison order mirrors §2.1: the
 // RVP operand copies are verified against the trailer RF first; if they

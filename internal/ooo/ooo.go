@@ -387,9 +387,23 @@ func (c *Core) Step(commitBudget int) []isa.Inst {
 	return committed
 }
 
-// Quiet reports whether the next Step can only advance the clock: it
-// commits nothing whatever its budget.
-func (c *Core) Quiet() bool { return c.cycle+1 < c.wake }
+// Quiet returns how many of the next Steps can only advance the clock:
+// they commit nothing whatever their budget, and change nothing but the
+// cycle counters. A drained core is quiet for ever; a caller bounds the
+// count by its own limits.
+func (c *Core) Quiet() uint64 {
+	if c.cycle+1 >= c.wake {
+		return 0
+	}
+	return c.wake - c.cycle - 1
+}
+
+// Skip runs k quiet Steps in one call, k at most Quiet(): it advances the
+// cycle and Activity.Cycles by k, as k Steps would.
+func (c *Core) Skip(k uint64) {
+	c.cycle += k
+	c.stats.Activity.Cycles += k
+}
 
 // NextCommits returns how many instructions the next Step commits at
 // full width, changing nothing: none on a quiet cycle, else the
@@ -398,7 +412,7 @@ func (c *Core) Quiet() bool { return c.cycle+1 < c.wake }
 // least this leaves the core exactly as a full-width Step would, since
 // the budget acts on nothing but commit.
 func (c *Core) NextCommits() int {
-	if c.Quiet() {
+	if c.Quiet() > 0 {
 		return 0
 	}
 	next, n := c.cycle+1, 0
@@ -488,13 +502,25 @@ func (c *Core) nextWake() uint64 {
 }
 
 // Run executes until n instructions commit (or the pipeline drains) and
-// returns the statistics.
+// returns the statistics. It skips each quiet stretch in one call.
 func (c *Core) Run(n uint64) Stats {
 	c.SetFetchBudget(n)
 	for c.stats.Instructions < n && !c.Drained() {
-		c.Step(c.cfg.CommitWidth)
+		c.Advance(c.cfg.CommitWidth)
 	}
 	return c.stats
+}
+
+// Advance runs the quiet stretch ahead in one call, or else one Step
+// with the given commit budget, and returns what that Step committed
+// (nothing after a skip). Run it only where nothing bounds the stretch:
+// a quiet core skips until its next event, for ever once drained.
+func (c *Core) Advance(commitBudget int) []isa.Inst {
+	if k := c.Quiet(); k > 0 {
+		c.Skip(k)
+		return c.committedBuf[:0]
+	}
+	return c.Step(commitBudget)
 }
 
 // --- pipeline stages -------------------------------------------------------

@@ -321,33 +321,71 @@ func TestStepDoesNotAllocate(t *testing.T) {
 }
 
 // TestQuietCyclesMatchFullSteps: skipping the cycles before wake changes
-// nothing. Two cores from one seed step in lockstep on every profile;
-// the reference clears wake before every Step, so all its stages run
-// every cycle. Commit budgets sweep 0..4 in stretches, and a finite
-// fetch budget drains the pipeline before fetch restarts.
+// nothing, one at a time or in one call. Three cores from one seed run
+// in lockstep on every profile; the reference clears wake before every
+// Step, so all its stages run every cycle, and a third core skips each
+// quiet stretch in one call (Skip, up to the next fetch-budget change),
+// over which the other two must commit nothing. Commit budgets sweep
+// 0..4 in stretches, and a finite fetch budget drains the pipeline
+// before fetch restarts.
 func TestQuietCyclesMatchFullSteps(t *testing.T) {
 	for _, b := range trace.Suite() {
 		t.Run(b.Profile.Name, func(t *testing.T) {
 			fast, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
 			full, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
-			for i := range 20_000 {
-				switch i {
-				case 8_000:
-					fast.SetFetchBudget(fast.fetchedTot + 300)
-					full.SetFetchBudget(full.fetchedTot + 300)
-				case 12_000:
-					fast.SetFetchBudget(^uint64(0))
-					full.SetFetchBudget(^uint64(0))
-				}
+			skip, _ := New(Default(), trace.MustGenerator(b.Profile, 5), newL2())
+			step := func(i int) []isa.Inst {
 				budget := i / 50 % 5
 				full.wake = 0
 				got, want := fast.Step(budget), full.Step(budget)
 				if !slices.Equal(got, want) {
 					t.Fatalf("cycle %d: committed %v, every-stage reference %v", fast.Cycle(), got, want)
 				}
+				return want
+			}
+			skipped := 0
+			for i := 0; i < 20_000; {
+				switch i {
+				case 8_000:
+					fast.SetFetchBudget(fast.fetchedTot + 300)
+					full.SetFetchBudget(full.fetchedTot + 300)
+					skip.SetFetchBudget(skip.fetchedTot + 300)
+				case 12_000:
+					fast.SetFetchBudget(^uint64(0))
+					full.SetFetchBudget(^uint64(0))
+					skip.SetFetchBudget(^uint64(0))
+				}
+				next := 20_000
+				for _, e := range []int{12_000, 8_000} {
+					if i < e {
+						next = e
+					}
+				}
+				if k := min(skip.Quiet(), uint64(next-i)); k > 0 {
+					skip.Skip(k)
+					for range k {
+						if len(step(i)) > 0 {
+							t.Fatalf("cycle %d: a cycle Quiet counted committed", fast.Cycle())
+						}
+						i++
+					}
+					skipped++
+				} else {
+					got := skip.Step(i / 50 % 5)
+					if want := step(i); !slices.Equal(got, want) {
+						t.Fatalf("cycle %d: the skipping core committed %v, the reference %v", skip.Cycle(), got, want)
+					}
+					i++
+				}
+				if skip.Stats() != full.Stats() || skip.Cycle() != full.Cycle() {
+					t.Fatalf("cycle %d: the skipping core differs:\n%+v\n%+v", full.Cycle(), skip.Stats(), full.Stats())
+				}
 			}
 			if fast.Stats() != full.Stats() {
 				t.Errorf("stats differ:\n%+v\n%+v", fast.Stats(), full.Stats())
+			}
+			if skipped == 0 {
+				t.Error("no quiet stretch was skipped")
 			}
 		})
 	}

@@ -126,12 +126,8 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 }
 
 // Add accumulates weight w at value x.
-func (h *Histogram) Add(x, w float64) { h.AddBin(h.BinOf(x), w) }
-
-// AddBin accumulates weight w in bin i, the BinOf of a value a caller
-// adds many times.
-func (h *Histogram) AddBin(i int, w float64) {
-	h.Counts[i] += w
+func (h *Histogram) Add(x, w float64) {
+	h.Counts[h.BinOf(x)] += w
 	h.total += w
 }
 

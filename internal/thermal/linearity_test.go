@@ -158,3 +158,43 @@ func TestMorePowerNeverCools(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteFieldDoesNotConverge: a model with one layer's lateral
+// conductance negated (the spreader's, the layer a sign error in the
+// conductance set-up would reach) drives the field to NaN, over which
+// every sweep's largest update reads 0. Such a solve must report that
+// it did not converge, serially and banded.
+func TestNonFiniteFieldDoesNotConverge(t *testing.T) {
+	cfg := Stack3D(7.2, 7.2)
+	cfg.Nx, cfg.Ny = 8, 8
+	m := NewModel(cfg)
+	spreader := -1
+	for l, layer := range cfg.Layers {
+		if layer.Name == "spreader" {
+			spreader = l
+		}
+	}
+	if spreader < 0 {
+		t.Fatal("the stack has no spreader layer")
+	}
+	m.gLat[spreader] = -m.gLat[spreader]
+	for _, workers := range []int{1, 4} {
+		s := m.NewState()
+		for die := range m.HeatLayers() {
+			g := make([][]float64, cfg.Ny)
+			for y := range g {
+				g[y] = make([]float64, cfg.Nx)
+				for x := range g[y] {
+					g[y][x] = 0.1
+				}
+			}
+			if err := s.SetPower(die, g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		iters, ok := s.SolveWith(1e-6, 200_000, workers)
+		if ok {
+			t.Errorf("%d workers: a solve over a diverging model reported convergence after %d sweeps (hottest cell %v)", workers, iters, s.CellC(0, 0, 0))
+		}
+	}
+}

@@ -258,10 +258,23 @@ func (st *State) SolveWith(tolC Celsius, maxIters, workers int) (iters int, conv
 			}
 		}
 		if maxDelta < tol {
-			return it, true
+			return it, st.finite()
 		}
 	}
 	return maxIters, false
+}
+
+// finite reports whether every cell's temperature is a number. A sweep
+// over a field gone to NaN meets any tolerance, since no comparison with
+// NaN holds, so a solve checks the field once the tolerance is met and
+// reports a non-finite one as not converged.
+func (st *State) finite() bool {
+	for _, t := range st.temp {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // sweepRows relaxes the cells of one color (parity) in rows [r0, r1) —
